@@ -54,9 +54,8 @@ pub const SNAPSHOT_SPECS: [&str; 2] = ["exact", "exact-parallel:4"];
 /// The registry specs the multiprocessor rows ([`mpp_cells`]) are
 /// measured under. `exact@mpp:1` doubles as a continuously-pinned
 /// correctness cell: its recorded optimum must equal the classic
-/// `exact` optimum on the same instance (the two state spaces are
-/// isomorphic at `p = 1`), which
-/// `mpp_rows_pin_the_single_processor_optimum` asserts.
+/// `exact` optimum on the same instance (at `p = 1` it runs the classic
+/// search), which `mpp_rows_pin_the_single_processor_optimum` asserts.
 pub const MPP_SNAPSHOT_SPECS: [&str; 3] = ["exact@mpp:1", "exact@mpp:2", "greedy@mpp:2"];
 
 /// The thread count behind the parallel snapshot spec (also used by the

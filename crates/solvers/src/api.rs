@@ -25,10 +25,12 @@
 //! they return the best incumbent known at that point — the cheapest
 //! goal configuration discovered, or failing that the greedy seed — as
 //! [`Quality::UpperBound`] with a `lower_bound` from
-//! [`bounds::best_lower_bound`]. Only a budgeted solve that holds no
-//! incumbent at all (seeding disabled, no goal reached) reports
-//! [`SolveError::Interrupted`]. The same degradation covers the
-//! [`ExactConfig::max_states`] memory guard when a seed exists.
+//! [`bounds::best_lower_bound`]. A sequential search that falls back to
+//! its seed still reports its `states_expanded`/`states_seen` counters.
+//! Only a budgeted solve that holds no incumbent at all (seeding
+//! disabled, no goal reached) reports [`SolveError::Interrupted`]. The
+//! same degradation covers the [`ExactConfig::max_states`] memory guard
+//! when a seed exists.
 //!
 //! Heuristic solvers ([`GreedySolver`], [`PortfolioSolver`]) are
 //! single-pass and complete in microseconds; they run to completion
@@ -38,8 +40,9 @@
 
 use crate::beam::{solve_beam_budgeted, BeamConfig};
 use crate::error::SolveError;
-use crate::exact::{solve_exact_budgeted, ExactConfig};
+use crate::exact::{ExactConfig, Search};
 use crate::greedy::{solve_greedy_with, GreedyConfig, GreedyReport};
+use crate::mpp::solve_greedy_mpp;
 use crate::parallel::{greedy_incumbent, solve_parallel_budgeted, ParallelConfig};
 use crate::portfolio::{default_portfolio, solve_portfolio};
 use rbp_core::{bounds, engine, Cost, Instance, Move, Pebbling};
@@ -527,61 +530,78 @@ impl ExactSolver {
     }
 }
 
-/// Shared exact-path plumbing: seed, search, degrade. `threads` only
-/// labels the stats.
-fn run_exact_family(
+/// The exact-path plumbing every exact-family spec shares: seed, search,
+/// degrade. `planes` is the number of red planes searched — 1 for the
+/// classic game, the processor count for `exact@mpp` — and the answer is
+/// [`Quality::Optimal`] only when the search covered every processor
+/// (`planes == instance.procs()`). `threads > 1` runs the sharded search,
+/// which covers one plane.
+pub(crate) fn run_exact_family(
     instance: &Instance,
     mut cfg: ExactConfig,
+    planes: usize,
     threads: usize,
     seed_incumbent: bool,
     ctx: &SolveCtx,
 ) -> Result<Solution, SolveError> {
     cfg.validate()?;
     bounds::check_feasible(instance)?;
-    let seed: Option<(u64, GreedyReport)> = if seed_incumbent && cfg.prune {
-        greedy_incumbent(instance)
-    } else {
-        None
+    // the incumbent, and the fallback of a search that ends without a
+    // goal: the list scheduler over several planes, else the cost-staged
+    // single-processor greedy
+    let seed: Option<(Cost, Pebbling)> = match (seed_incumbent && cfg.prune, planes) {
+        (false, _) => None,
+        (true, 1) => greedy_incumbent(instance).map(|rep| (rep.cost, rep.trace)),
+        (true, _) => solve_greedy_mpp(instance)
+            .ok()
+            .map(|rep| (rep.cost, rep.trace)),
     };
-    if let Some((ub, _)) = &seed {
-        cfg.upper_bound = Some(cfg.upper_bound.map_or(*ub, |b| b.min(*ub)));
+    if let Some((cost, _)) = &seed {
+        cfg.seed_with(instance, cost);
     }
+    let mut counters = None;
     let searched = if threads == 1 {
-        solve_exact_budgeted(instance, cfg, ctx)
+        let mut search = Search::new(instance, cfg, planes);
+        let searched = search.run(ctx);
+        counters = Some(search.counters());
+        searched
     } else {
+        debug_assert_eq!(planes, 1, "the sharded search covers one plane");
         solve_parallel_budgeted(instance, cfg, threads, ctx)
     };
+    let mut stats = Stats::new();
     match searched {
         Ok((report, optimal)) => {
-            let mut stats = Stats::new();
             stats.set("states_expanded", report.states_expanded as u64);
             stats.set("states_seen", report.states_seen as u64);
-            stats.set("threads", threads as u64);
-            let quality = if optimal && instance.procs() <= 1 {
-                Quality::Optimal
-            } else if optimal {
-                // the classic search only explores single-processor
-                // schedules; on p > 1 the multiprocessor optimum can be
-                // strictly cheaper, so the result is only an upper bound
-                upper_bound_quality(instance, report.cost)
-            } else {
+            if !optimal {
                 stats.set("degraded", 1);
+            }
+            // a search over fewer planes than processors only proves the
+            // single-processor optimum, which the multiprocessor one can
+            // undercut
+            let quality = if optimal && planes == instance.procs() {
+                Quality::Optimal
+            } else {
                 upper_bound_quality(instance, report.cost)
             };
             Solution::validated(instance, report.trace, quality, stats)
         }
         // budget expired (or the memory guard tripped) before any goal
-        // was reached: fall back to the greedy incumbent's trace
+        // was reached: fall back to the greedy incumbent's trace, still
+        // reporting the work the search did
         Err(SolveError::Interrupted) | Err(SolveError::StateLimitExceeded { .. })
             if seed.is_some() =>
         {
-            let (_, rep) = seed.expect("guarded");
-            let mut stats = Stats::new();
-            stats.set("threads", threads as u64);
+            let (cost, trace) = seed.expect("guarded");
+            if let Some((expanded, seen)) = counters {
+                stats.set("states_expanded", expanded as u64);
+                stats.set("states_seen", seen as u64);
+            }
             stats.set("degraded", 1);
             // a seed that meets the lower bound genuinely is optimal
-            let quality = upper_bound_quality(instance, rep.cost);
-            Solution::validated(instance, rep.trace, quality, stats)
+            let quality = upper_bound_quality(instance, cost);
+            Solution::validated(instance, trace, quality, stats)
         }
         Err(e) => Err(e),
     }
@@ -605,7 +625,9 @@ impl Solver for ExactSolver {
     }
 
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        run_exact_family(instance, self.cfg, 1, self.seed_incumbent, ctx)
+        let mut sol = run_exact_family(instance, self.cfg, 1, 1, self.seed_incumbent, ctx)?;
+        sol.stats.set("threads", 1);
+        Ok(sol)
     }
 }
 
@@ -651,13 +673,17 @@ impl Solver for ParallelExactSolver {
 
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
         self.cfg.validate()?;
-        run_exact_family(
+        let threads = self.cfg.threads;
+        let mut sol = run_exact_family(
             instance,
             self.cfg.exact,
-            self.cfg.threads,
+            1,
+            threads,
             self.cfg.seed_incumbent,
             ctx,
-        )
+        )?;
+        sol.stats.set("threads", threads as u64);
+        Ok(sol)
     }
 }
 

@@ -17,8 +17,8 @@
 //! assigned in first-intern order, so per-state solver bookkeeping lives
 //! in parallel arrays ([`NodeTable`]) instead of per-state boxes.
 
-use crate::hash::hash_words;
 use rbp_core::Move;
+use rbp_graph::hash::hash_words;
 use rbp_graph::NodeId;
 
 /// Sentinel id marking an empty slot in the probe table and the root's

@@ -15,8 +15,8 @@
 use crate::api::SolveCtx;
 use crate::error::SolveError;
 use crate::greedy::GreedyReport;
-use crate::hash::FxHashMap;
 use rbp_core::{bounds, engine, Instance, Move, Pebbling, SinkConvention, SourceConvention, State};
+use rbp_graph::hash::FxHashMap;
 use rbp_graph::NodeId;
 
 /// Beam-search configuration.
@@ -75,7 +75,6 @@ pub(crate) fn solve_beam_budgeted(
     bounds::check_feasible(instance)?;
     let dag = instance.dag();
     let n = dag.n();
-    let eps = instance.model().epsilon();
     let initially_blue = instance.source_convention() == SourceConvention::InitiallyBlue;
 
     let mut computed0 = vec![false; n];
@@ -130,11 +129,10 @@ pub(crate) fn solve_beam_budgeted(
                 }
                 succ.scaled = {
                     let stats = succ.trace.stats();
-                    rbp_core::Cost {
+                    instance.scaled_cost(&rbp_core::Cost {
                         transfers: stats.transfers(),
                         computes: stats.computes,
-                    }
-                    .scaled(eps)
+                    })
                 };
                 // dedup identical configurations, keep the cheapest
                 let key: Vec<u64> = succ

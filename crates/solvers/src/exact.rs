@@ -1,9 +1,18 @@
 //! Exact optimal pebbling via Dijkstra / A* over configurations.
 //!
-//! A configuration is `(red, blue[, computed])` packed into `u64` words;
-//! moves are edges weighted by their scaled cost (`transfers·den +
-//! computes·num`, exact integers). Dijkstra over this graph yields the
-//! optimal pebbling cost and, via parent pointers, an optimal trace.
+//! A configuration is `(red planes, blue[, computed])` packed into `u64`
+//! words; moves are edges weighted by their scaled cost, `transfers·comm`
+//! plus `computes·comp` with the instance's exact
+//! [`Instance::cost_scales`] (that is `(den(ε), num(ε))` unless an
+//! `instance v2` document sets weights). Dijkstra over this graph yields
+//! the optimal pebbling cost and, via parent pointers, an optimal trace.
+//!
+//! This is the one exact search of the crate. `exact`, `exact:unseeded`,
+//! `exact-parallel` and `reference` search one red plane — the classic
+//! single-processor game. `exact@mpp[:P]` searches one plane per
+//! processor ([`crate::mpp`]); there only prune rule 1 below and the
+//! incumbent cutoff apply (see [`crate::expand`] for the layout and the
+//! rule set by plane count).
 //!
 //! ## State keys per model
 //! - **base / compcost / nodel**: `(red, blue)`. The computed set does not
@@ -11,6 +20,8 @@
 //!   omitted — this also merges states that differ only in history.
 //! - **oneshot**: `(red, blue, computed)`, because each node admits one
 //!   compute.
+//!
+//! At `p` planes `red` is `p` consecutive red sets, one per processor.
 //!
 //! ## Hot-path layout
 //! The expand loop allocates nothing. All machinery is flat, and the move
@@ -99,13 +110,13 @@
 //! For oneshot an admissible, consistent heuristic is available: every
 //! node that is blue and still has an uncomputed successor must be loaded
 //! at least once more (recomputation being forbidden), contributing 1
-//! transfer each.
+//! transfer (`comm`) each.
 
 use crate::api::{Progress, SolveCtx};
 use crate::arena::{NodeTable, StateArena, NO_STATE};
 use crate::error::SolveError;
 use crate::expand::{Expander, Meta};
-use rbp_core::{bounds, Cost, Instance, Pebbling};
+use rbp_core::{bounds, Cost, Instance, Move, Pebbling};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -131,9 +142,10 @@ pub struct ExactConfig {
     /// Use the admissible oneshot heuristic (ignored for other models).
     pub astar: bool,
     /// Optional incumbent seed: a known upper bound on the optimal
-    /// *scaled* cost (e.g. a greedy portfolio result). Successors with
-    /// `g + h` strictly above it are never interned; the optimum is
-    /// unchanged because the bound is realized by a concrete pebbling.
+    /// *scaled* cost ([`Instance::scaled_cost`]; e.g. a greedy portfolio
+    /// result). Successors with `g + h` strictly above it are never
+    /// interned; the optimum is unchanged because the bound is realized
+    /// by a concrete pebbling.
     pub upper_bound: Option<u64>,
 }
 
@@ -159,6 +171,13 @@ impl ExactConfig {
             });
         }
         Ok(())
+    }
+
+    /// Tightens [`ExactConfig::upper_bound`] to the scaled cost of a
+    /// realized pebbling of `instance` (an incumbent seed).
+    pub(crate) fn seed_with(&mut self, instance: &Instance, cost: &Cost) {
+        let ub = u64::try_from(instance.scaled_cost(cost)).unwrap_or(u64::MAX);
+        self.upper_bound = Some(self.upper_bound.map_or(ub, |b| b.min(ub)));
     }
 
     /// The prune cutoff seeded by [`ExactConfig::upper_bound`]:
@@ -188,6 +207,45 @@ pub struct ExactReport {
     pub states_expanded: usize,
     /// Number of distinct states interned.
     pub states_seen: usize,
+}
+
+impl ExactReport {
+    /// Wraps a recovered trace; the cost derives from the trace itself.
+    pub(crate) fn from_trace(trace: Pebbling, states_expanded: usize, states_seen: usize) -> Self {
+        let stats = trace.stats();
+        ExactReport {
+            cost: Cost {
+                transfers: stats.transfers(),
+                computes: stats.computes,
+            },
+            trace,
+            states_expanded,
+            states_seen,
+        }
+    }
+}
+
+/// Rebuilds the trace that ends in state `goal` by walking parent
+/// pointers back to the root. `state(id)` returns a state's key and its
+/// `(parent id, move)`; each move is tagged with the plane it acted on
+/// ([`Expander::plane_of`]), so one-plane traces stay untagged.
+pub(crate) fn recover_trace<'k>(
+    exp: &Expander,
+    goal: u32,
+    state: impl Fn(u32) -> (&'k [u64], (u32, Move)),
+) -> Pebbling {
+    let mut steps = Vec::new();
+    let (mut key, (mut prev, mut mv)) = state(goal);
+    while prev != NO_STATE {
+        let (prev_key, prev_parent) = state(prev);
+        steps.push((mv, exp.plane_of(prev_key, key, mv)));
+        (key, (prev, mv)) = (prev_key, prev_parent);
+    }
+    let mut trace = Pebbling::with_capacity(steps.len());
+    for &(mv, plane) in steps.iter().rev() {
+        trace.push_on(mv, plane);
+    }
+    trace
 }
 
 /// Solves the instance exactly with default configuration.
@@ -231,12 +289,7 @@ pub fn solve_exact_with(instance: &Instance, cfg: ExactConfig) -> Result<ExactRe
     solve_exact_budgeted(instance, cfg, &SolveCtx::default()).map(|(report, _)| report)
 }
 
-/// Budget-aware entry point used by the [`crate::api`] layer. Returns
-/// the report plus whether it is proved optimal: `true` when the search
-/// settled a goal, `false` when the budget expired and the report holds
-/// the best goal *discovered* so far (a valid upper bound). Expiring
-/// before any goal was discovered is [`SolveError::Interrupted`] — the
-/// api layer degrades to its greedy seed there.
+/// Budget-aware single-plane entry point ([`Search::run`] semantics).
 pub(crate) fn solve_exact_budgeted(
     instance: &Instance,
     cfg: ExactConfig,
@@ -244,14 +297,16 @@ pub(crate) fn solve_exact_budgeted(
 ) -> Result<(ExactReport, bool), SolveError> {
     cfg.validate()?;
     bounds::check_feasible(instance)?;
-    Search::new(instance, cfg).run(ctx)
+    Search::new(instance, cfg, 1).run(ctx)
 }
 
 // ---------------------------------------------------------------------
 // implementation
 // ---------------------------------------------------------------------
 
-struct Search<'a> {
+/// One sequential Dijkstra/A* search over `planes` red planes. Callers
+/// validate the config and check feasibility first.
+pub(crate) struct Search<'a> {
     cfg: ExactConfig,
     exp: Expander<'a>,
     /// Debug-only second expander: rescans successor metadata to check
@@ -278,35 +333,53 @@ struct Search<'a> {
     /// necessarily settled). This is what a budget-expired solve returns
     /// as its incumbent.
     best_goal: (u64, u32),
+    /// States popped and expanded so far.
+    expanded: usize,
 }
 
 impl<'a> Search<'a> {
-    fn new(instance: &'a Instance, cfg: ExactConfig) -> Self {
-        let exp = Expander::new(instance, cfg.prune, cfg.astar);
+    /// A search of `instance` over `planes` red planes (1 for the classic
+    /// game, the processor count for the multiprocessor one).
+    pub(crate) fn new(instance: &'a Instance, cfg: ExactConfig, planes: usize) -> Self {
+        let exp = Expander::new(instance, planes, cfg.prune, cfg.astar);
         let cutoff = cfg.seed_cutoff();
         let key_words = exp.key_words();
         Search {
             cfg,
             exp,
             #[cfg(debug_assertions)]
-            check: Expander::new(instance, cfg.prune, cfg.astar),
+            check: Expander::new(instance, planes, cfg.prune, cfg.astar),
             arena: StateArena::new(key_words),
             nodes: NodeTable::new(),
             heap: BinaryHeap::new(),
             cutoff,
             floor: instance.scaled_cost(&bounds::best_lower_bound(instance)),
             best_goal: (u64::MAX, NO_STATE),
+            expanded: 0,
         }
     }
 
-    fn run(mut self, ctx: &SolveCtx) -> Result<(ExactReport, bool), SolveError> {
+    /// `(states expanded, states seen)` so far — also after a run that
+    /// ended without a goal.
+    pub(crate) fn counters(&self) -> (usize, usize) {
+        (self.expanded, self.arena.len())
+    }
+
+    /// Runs the search. Returns the report plus whether it is proved
+    /// optimal: `true` when the search settled a goal (or met the
+    /// structural floor), `false` when the budget expired and the report
+    /// holds the best goal *discovered* so far (a valid upper bound).
+    /// Expiring before any goal was discovered is
+    /// [`SolveError::Interrupted`] — the api layer degrades to its greedy
+    /// seed there.
+    pub(crate) fn run(&mut self, ctx: &SolveCtx) -> Result<(ExactReport, bool), SolveError> {
         let t0 = Instant::now();
         let budget_live = !ctx.budget.is_unlimited();
         // an already-exhausted budget (pre-set cancel flag, elapsed
         // deadline) stops before any work; in-loop polls then only fire
         // every BUDGET_POLL_INTERVAL real expansions
         if budget_live && ctx.budget.exhausted(0) {
-            return self.interrupted(0);
+            return self.interrupted();
         }
         let init = self.exp.initial_key();
         let (root, fresh) = self.arena.intern(&init);
@@ -317,7 +390,6 @@ impl<'a> Search<'a> {
         self.nodes.dist[root as usize] = 0;
         self.heap.push(Reverse((root_meta.heur, root)));
 
-        let mut expanded = 0usize;
         let mut key_buf: Vec<u64> = Vec::with_capacity(self.exp.key_words());
         while let Some(Reverse((_prio, id))) = self.heap.pop() {
             let idx = id as usize;
@@ -333,7 +405,8 @@ impl<'a> Search<'a> {
                 unsat: self.nodes.unsat_sinks[idx],
                 heur: self.nodes.heur[idx],
             };
-            expanded += 1;
+            self.expanded += 1;
+            let expanded = self.expanded;
             // cooperative budget poll, amortized over a quantum of *real*
             // expansions (stale pops skip it above, so a streak of
             // settled duplicates cannot re-fire the deadline check or
@@ -342,18 +415,18 @@ impl<'a> Search<'a> {
                 && expanded.is_multiple_of(BUDGET_POLL_INTERVAL)
                 && ctx.budget.exhausted(expanded as u64)
             {
-                return self.interrupted(expanded);
+                return self.interrupted();
             }
             if expanded.is_multiple_of(PROGRESS_INTERVAL) {
                 if let Some(observer) = ctx.progress {
-                    observer(&self.progress(t0, expanded));
+                    observer(&self.progress(t0));
                 }
             }
 
             if meta.is_goal() {
-                return Ok((self.report_for(id, expanded), true));
+                return Ok((self.report_for(id), true));
             }
-            if self.exp.prune() && self.exp.oneshot() && self.exp.is_dead(&key_buf) {
+            if self.exp.is_dead(&key_buf) {
                 continue;
             }
 
@@ -369,7 +442,7 @@ impl<'a> Search<'a> {
                 cfg,
                 best_goal,
                 ..
-            } = &mut self;
+            } = self;
             exp.expand(&key_buf, meta, |succ, mv, cost, child| {
                 let nd = d + cost;
                 let f = nd.saturating_add(child.heur);
@@ -415,42 +488,37 @@ impl<'a> Search<'a> {
                 && u128::from(self.best_goal.0) <= self.floor
             {
                 let (_, goal) = self.best_goal;
-                return Ok((self.report_for(goal, expanded), true));
+                return Ok((self.report_for(goal), true));
             }
         }
         Err(SolveError::NoPebblingFound)
     }
 
-    /// The report for a settled-or-discovered goal state.
-    fn report_for(&self, goal: u32, expanded: usize) -> ExactReport {
-        let trace = self.recover_trace(goal);
-        let stats = trace.stats();
-        ExactReport {
-            cost: Cost {
-                transfers: stats.transfers(),
-                computes: stats.computes,
-            },
-            trace,
-            states_expanded: expanded,
-            states_seen: self.arena.len(),
-        }
+    /// The report for a settled-or-discovered goal state. Called exactly
+    /// once per solve.
+    fn report_for(&self, goal: u32) -> ExactReport {
+        let trace = recover_trace(&self.exp, goal, |id| {
+            (self.arena.key(id), self.nodes.parent[id as usize])
+        });
+        ExactReport::from_trace(trace, self.expanded, self.arena.len())
     }
 
     /// Budget expiry: return the best goal discovered so far as a
     /// (non-optimal) incumbent, or [`SolveError::Interrupted`] when none
     /// exists yet.
-    fn interrupted(self, expanded: usize) -> Result<(ExactReport, bool), SolveError> {
+    fn interrupted(&self) -> Result<(ExactReport, bool), SolveError> {
         let (g, id) = self.best_goal;
         if id == NO_STATE {
             return Err(SolveError::Interrupted);
         }
         debug_assert!(g < u64::MAX);
-        Ok((self.report_for(id, expanded), false))
+        Ok((self.report_for(id), false))
     }
 
-    fn progress(&self, t0: Instant, expanded: usize) -> Progress {
+    fn progress(&self, t0: Instant) -> Progress {
         let elapsed = t0.elapsed();
         let secs = elapsed.as_secs_f64();
+        let expanded = self.expanded;
         Progress {
             elapsed,
             states_expanded: expanded as u64,
@@ -466,20 +534,6 @@ impl<'a> Search<'a> {
                 (g, None) => Some(g),
             },
         }
-    }
-
-    /// Walks parent pointers from `goal` to the root. Called exactly once
-    /// per solve; [`ExactReport::cost`] is derived from the same trace.
-    fn recover_trace(&self, goal: u32) -> Pebbling {
-        let mut moves = Vec::new();
-        let mut cur = goal;
-        while self.nodes.parent[cur as usize].0 != NO_STATE {
-            let (prev, mv) = self.nodes.parent[cur as usize];
-            moves.push(mv);
-            cur = prev;
-        }
-        moves.reverse();
-        Pebbling::from_moves(moves)
     }
 }
 

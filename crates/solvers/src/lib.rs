@@ -42,17 +42,21 @@
 //!
 //! ## Solver families
 //!
-//! - [`exact`]: optimal pebbling via Dijkstra/A* over configurations,
-//!   with per-model optimality-preserving pruning, incumbent-bound
-//!   pruning, and an unpruned reference mode for cross-validation;
+//! - [`exact`]: the one exact search — Dijkstra/A* over configurations
+//!   with one red plane per processor searched, priced with the
+//!   instance's weights, with per-model optimality-preserving pruning,
+//!   incumbent-bound pruning, and an unpruned reference mode for
+//!   cross-validation (`exact`, `exact:unseeded`, `reference`,
+//!   `exact@mpp[:P]`);
 //! - [`parallel`]: the hash-sharded parallel exact search (HDA*) over
-//!   the same configuration graph, seeded with a greedy incumbent;
-//! - [`expand`]: the move generator both exact solvers share;
+//!   the same single-plane configuration graph, seeded with a greedy
+//!   incumbent;
+//! - [`expand`]: the move generator both exact searches share;
 //! - [`greedy`]: the three natural greedy rules of Section 8 with
 //!   pluggable eviction policies;
-//! - [`mpp`]: multiprocessor pebbling — exact Dijkstra over the
-//!   product state space of `p` private memories plus a greedy list
-//!   scheduler (`exact@mpp[:P]` / `greedy@mpp[:P]`);
+//! - [`mpp`]: multiprocessor pebbling — the exact search over `p` red
+//!   planes plus a greedy list scheduler (`exact@mpp[:P]` /
+//!   `greedy@mpp[:P]`);
 //! - [`beam`]: beam search over first-computation orderings;
 //! - [`portfolio`]: parallel best-of-greedy (also the incumbent seed);
 //! - [`coarse`]: hierarchical scale-out — partition the DAG into K
@@ -79,7 +83,6 @@ pub mod error;
 pub mod exact;
 pub mod expand;
 pub mod greedy;
-pub mod hash;
 pub mod mpp;
 pub mod parallel;
 pub mod pool;
@@ -100,10 +103,7 @@ pub use error::SolveError;
 pub use exact::{ExactConfig, ExactReport};
 pub use expand::{Expander, Meta};
 pub use greedy::{EvictionPolicy, GreedyConfig, GreedyReport, SelectionRule};
-pub use mpp::{
-    solve_exact_mpp, solve_greedy_mpp, ExactMppSolver, GreedyMppSolver, MppExactReport,
-    MppGreedyReport,
-};
+pub use mpp::{solve_greedy_mpp, ExactMppSolver, GreedyMppSolver, MppGreedyReport};
 pub use parallel::ParallelConfig;
 pub use portfolio::default_portfolio;
 pub use registry::Registry;

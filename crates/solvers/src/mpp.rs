@@ -1,20 +1,25 @@
-//! Multiprocessor pebbling solvers: exact Dijkstra over the product
-//! state space and a greedy list scheduler.
+//! Multiprocessor pebbling solvers: the exact search over one red plane
+//! per processor and a greedy list scheduler.
 //!
 //! The multiprocessor game (`rbp_core::mpp`) runs `p` private fast
 //! memories over one shared blue memory; a configuration is the tuple
 //! of `p` per-processor red sets, the shared blue set, and (oneshot)
-//! the global computed set. This module searches that product space:
+//! the global computed set.
 //!
-//! - [`solve_exact_mpp`]: plain Dijkstra — the A* heuristic and most
-//!   oneshot prunes of the classic solver do not transfer soundly to
-//!   per-processor ownership, so only the dominance prune "never delete
-//!   a blue pebble" is kept (deleting shared blue frees no private
-//!   capacity, so the smaller-blue state is dominated at equal cost).
-//!   Edge weights are the instance's exact weight scales
-//!   ([`Instance::cost_scales`]), so the optimum is the additive
+//! - [`ExactMppSolver`] (`exact@mpp[:P]`) runs the crate's one exact
+//!   search ([`crate::exact`] over [`crate::expand::Expander`]) with one
+//!   red plane per processor: the key is `p` red planes, then blue, then
+//!   (oneshot) computed. Edges are priced with the instance's exact
+//!   weights ([`Instance::cost_scales`]), so the optimum is the additive
 //!   objective `transfers·comm + computes·comp` — the makespan is a
-//!   reported statistic, never the search objective.
+//!   reported statistic, never the search objective. At `p > 1` only
+//!   the dominance prune "never delete a blue pebble" and the incumbent
+//!   cutoff apply (deleting shared blue frees no private capacity, so
+//!   the smaller-blue state is dominated at equal cost); the A*
+//!   heuristic and the other oneshot prunes reason about a single red
+//!   set and stay off. At `p = 1` the search *is* the classic one, prunes
+//!   and heuristic included. The incumbent seed is [`solve_greedy_mpp`]
+//!   at `p > 1` and the classic cost-staged greedy at `p = 1`.
 //! - [`solve_greedy_mpp`]: a topological list scheduler. Each
 //!   non-source node is assigned to the processor holding most of its
 //!   inputs red (ties: least accumulated weighted work, then lowest
@@ -25,307 +30,14 @@
 //!
 //! Both are exposed through the registry as `exact@mpp[:P]` and
 //! `greedy@mpp[:P]`, where the optional `P` overrides the instance's
-//! own processor count ([`Instance::with_procs`]). At `p = 1` the exact
-//! solver provably agrees with the classic single-processor optimum —
-//! the state spaces are isomorphic — which the verify harness and the
-//! perf snapshot pin continuously.
+//! own processor count ([`Instance::with_procs`]).
 
-use crate::api::{upper_bound_quality, Quality, Solution, SolveCtx, Solver, Stats};
-use crate::arena::{StateArena, NO_STATE};
+use crate::api::{run_exact_family, upper_bound_quality, Solution, SolveCtx, Solver, Stats};
 use crate::error::SolveError;
 use crate::exact::ExactConfig;
-use rbp_core::{bounds, engine, mpp, Cost, Instance, ModelKind, Move, Pebbling, SourceConvention};
+use rbp_core::{bounds, engine, mpp, Cost, Instance, Move, Pebbling, SourceConvention};
 use rbp_graph::NodeId;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Budget polls happen every this many expansions (mirrors
-/// `crate::exact`).
-const BUDGET_POLL_INTERVAL: usize = 256;
-
-#[inline]
-fn bit_get(words: &[u64], i: usize) -> bool {
-    words[i / 64] & (1 << (i % 64)) != 0
-}
-
-#[inline]
-fn bit_set(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1 << (i % 64);
-}
-
-#[inline]
-fn bit_clear(words: &mut [u64], i: usize) {
-    words[i / 64] &= !(1 << (i % 64));
-}
-
-/// Result of an exact multiprocessor solve.
-#[derive(Clone, Debug)]
-pub struct MppExactReport {
-    /// Exact optimal cost (additive objective).
-    pub cost: Cost,
-    /// A processor-tagged optimal pebbling realizing that cost.
-    pub trace: Pebbling,
-    /// Number of states popped from the queue.
-    pub states_expanded: usize,
-    /// Number of distinct states interned.
-    pub states_seen: usize,
-}
-
-/// Solves the multiprocessor instance exactly (default configuration).
-pub fn solve_exact_mpp(instance: &Instance) -> Result<MppExactReport, SolveError> {
-    solve_exact_mpp_budgeted(instance, ExactConfig::default(), &SolveCtx::default())
-        .map(|(rep, _)| rep)
-}
-
-/// Budget-aware exact multiprocessor solve. Returns the report plus
-/// whether it is proved optimal (`false` when the budget expired and
-/// the report holds the best goal discovered so far).
-pub(crate) fn solve_exact_mpp_budgeted(
-    instance: &Instance,
-    cfg: ExactConfig,
-    ctx: &SolveCtx,
-) -> Result<(MppExactReport, bool), SolveError> {
-    cfg.validate()?;
-    bounds::check_feasible(instance)?;
-
-    let dag = instance.dag();
-    let n = dag.n();
-    let p = instance.procs().max(1);
-    let wpn = rbp_graph::words_for(n);
-    let oneshot = instance.model().kind() == ModelKind::Oneshot;
-    // key layout: p red planes, then blue, then (oneshot) computed
-    let key_words = (p + 1 + usize::from(oneshot)) * wpn;
-    let blue_off = p * wpn;
-    let comp_off = blue_off + wpn;
-    let (comm, comp) = instance.cost_scales();
-    let r_limit = instance.red_limit();
-    let model = instance.model();
-    let initially_blue = instance.source_convention() == SourceConvention::InitiallyBlue;
-    let need_blue = instance.sink_convention() == rbp_core::SinkConvention::RequireBlue;
-    let sinks: Vec<usize> = dag
-        .nodes()
-        .filter(|&v| dag.is_sink(v))
-        .map(|v| v.index())
-        .collect();
-
-    let is_red_on = |key: &[u64], i: usize, v: usize| bit_get(&key[i * wpn..(i + 1) * wpn], v);
-    let is_red_any =
-        |key: &[u64], v: usize| (0..p).any(|i| bit_get(&key[i * wpn..(i + 1) * wpn], v));
-    let is_blue = |key: &[u64], v: usize| bit_get(&key[blue_off..blue_off + wpn], v);
-    let is_computed = |key: &[u64], v: usize| {
-        if oneshot {
-            bit_get(&key[comp_off..comp_off + wpn], v)
-        } else {
-            is_red_any(key, v) || is_blue(key, v)
-        }
-    };
-    let is_goal = |key: &[u64]| {
-        sinks.iter().all(|&s| {
-            if need_blue {
-                is_blue(key, s)
-            } else {
-                is_blue(key, s) || is_red_any(key, s)
-            }
-        })
-    };
-
-    // initial configuration
-    let mut init = vec![0u64; key_words];
-    if initially_blue {
-        for v in dag.sources() {
-            bit_set(&mut init[blue_off..blue_off + wpn], v.index());
-            if oneshot {
-                bit_set(&mut init[comp_off..comp_off + wpn], v.index());
-            }
-        }
-    }
-
-    let mut arena = StateArena::new(key_words);
-    let mut dist: Vec<u64> = Vec::new();
-    let mut parent: Vec<(u32, Move, u16)> = Vec::new();
-    let mut settled: Vec<bool> = Vec::new();
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    let mut cutoff = cfg.seed_cutoff();
-    let mut best_goal: (u64, u32) = (u64::MAX, NO_STATE);
-
-    let (root, _) = arena.intern(&init);
-    dist.push(0);
-    parent.push((NO_STATE, Move::Delete(NodeId::new(0)), 0));
-    settled.push(false);
-    heap.push(Reverse((0, root)));
-
-    let budget_live = !ctx.budget.is_unlimited();
-    let mut expanded = 0usize;
-    let mut key_buf: Vec<u64> = Vec::with_capacity(key_words);
-    let mut scratch = vec![0u64; key_words];
-    let mut red_counts = vec![0u32; p];
-
-    let recover = |goal: u32, parent: &[(u32, Move, u16)]| {
-        let mut rev: Vec<(Move, u16)> = Vec::new();
-        let mut cur = goal;
-        while parent[cur as usize].0 != NO_STATE {
-            let (prev, mv, proc) = parent[cur as usize];
-            rev.push((mv, proc));
-            cur = prev;
-        }
-        let mut trace = Pebbling::with_capacity(rev.len());
-        for (mv, proc) in rev.into_iter().rev() {
-            trace.push_on(mv, proc);
-        }
-        trace
-    };
-    let report = |goal: u32,
-                  expanded: usize,
-                  arena: &StateArena,
-                  parent: &[(u32, Move, u16)]|
-     -> MppExactReport {
-        let trace = recover(goal, parent);
-        let stats = trace.stats();
-        MppExactReport {
-            cost: Cost {
-                transfers: stats.transfers(),
-                computes: stats.computes,
-            },
-            trace,
-            states_expanded: expanded,
-            states_seen: arena.len(),
-        }
-    };
-
-    if budget_live && ctx.budget.exhausted(0) {
-        return Err(SolveError::Interrupted);
-    }
-
-    while let Some(Reverse((_prio, id))) = heap.pop() {
-        let idx = id as usize;
-        if settled[idx] {
-            continue;
-        }
-        settled[idx] = true;
-        key_buf.clear();
-        key_buf.extend_from_slice(arena.key(id));
-        let d = dist[idx];
-        expanded += 1;
-        if budget_live
-            && expanded.is_multiple_of(BUDGET_POLL_INTERVAL)
-            && ctx.budget.exhausted(expanded as u64)
-        {
-            let (_, gid) = best_goal;
-            if gid == NO_STATE {
-                return Err(SolveError::Interrupted);
-            }
-            return Ok((report(gid, expanded, &arena, &parent), false));
-        }
-        if is_goal(&key_buf) {
-            return Ok((report(id, expanded, &arena, &parent), true));
-        }
-
-        for (i, count) in red_counts.iter_mut().enumerate() {
-            *count = key_buf[i * wpn..(i + 1) * wpn]
-                .iter()
-                .map(|w| w.count_ones())
-                .sum();
-        }
-
-        // every (move, processor) successor; relax-or-intern each child
-        let mut relax = |succ: &[u64],
-                         mv: Move,
-                         proc: u16,
-                         edge: u64,
-                         arena: &mut StateArena|
-         -> Result<(), SolveError> {
-            let nd = d + edge;
-            if nd >= cutoff {
-                return Ok(());
-            }
-            let (cid, fresh) = arena.intern(succ);
-            if fresh {
-                dist.push(u64::MAX);
-                parent.push((NO_STATE, Move::Delete(NodeId::new(0)), 0));
-                settled.push(false);
-                if arena.len() > cfg.max_states {
-                    return Err(SolveError::StateLimitExceeded {
-                        limit: cfg.max_states,
-                    });
-                }
-            }
-            let cidx = cid as usize;
-            if !settled[cidx] && nd < dist[cidx] {
-                dist[cidx] = nd;
-                parent[cidx] = (id, mv, proc);
-                heap.push(Reverse((nd, cid)));
-                if is_goal(succ) && nd < best_goal.0 {
-                    best_goal = (nd, cid);
-                    if cfg.prune && nd < cutoff {
-                        cutoff = nd;
-                    }
-                }
-            }
-            Ok(())
-        };
-
-        for v in 0..n {
-            let node = NodeId::new(v);
-            let blue = is_blue(&key_buf, v);
-            let red_any = is_red_any(&key_buf, v);
-            for (i, &red_count) in red_counts.iter().enumerate() {
-                let plane = i * wpn;
-                if is_red_on(&key_buf, i, v) {
-                    // Store(i, v): own red -> shared blue
-                    scratch.copy_from_slice(&key_buf);
-                    bit_clear(&mut scratch[plane..plane + wpn], v);
-                    bit_set(&mut scratch[blue_off..blue_off + wpn], v);
-                    relax(&scratch, Move::Store(node), i as u16, comm, &mut arena)?;
-                    // Delete(i, v) of the own red pebble
-                    if model.allows_delete() {
-                        scratch.copy_from_slice(&key_buf);
-                        bit_clear(&mut scratch[plane..plane + wpn], v);
-                        relax(&scratch, Move::Delete(node), i as u16, 0, &mut arena)?;
-                    }
-                    continue;
-                }
-                if blue && (red_count as usize) < r_limit {
-                    // Load(i, v): shared blue -> own red
-                    scratch.copy_from_slice(&key_buf);
-                    bit_clear(&mut scratch[blue_off..blue_off + wpn], v);
-                    bit_set(&mut scratch[plane..plane + wpn], v);
-                    relax(&scratch, Move::Load(node), i as u16, comm, &mut arena)?;
-                }
-                // Compute(i, v): all inputs red on processor i
-                let recompute_ok = model.allows_recompute() || !is_computed(&key_buf, v);
-                let source_ok = !initially_blue || !dag.is_source(node);
-                let computable = !red_any
-                    && recompute_ok
-                    && source_ok
-                    && (red_count as usize) < r_limit
-                    && dag
-                        .pred_mask(node)
-                        .iter()
-                        .zip(&key_buf[plane..plane + wpn])
-                        .all(|(m, r)| m & !r == 0);
-                if computable {
-                    scratch.copy_from_slice(&key_buf);
-                    bit_clear(&mut scratch[blue_off..blue_off + wpn], v);
-                    bit_set(&mut scratch[plane..plane + wpn], v);
-                    if oneshot {
-                        bit_set(&mut scratch[comp_off..comp_off + wpn], v);
-                    }
-                    relax(&scratch, Move::Compute(node), i as u16, comp, &mut arena)?;
-                }
-            }
-            // Delete of the shared blue pebble: processor-independent,
-            // emitted once (from processor 0) and only in unpruned mode —
-            // dropping shared data frees no private capacity, so the
-            // smaller-blue state is dominated at equal cost.
-            if blue && model.allows_delete() && !cfg.prune {
-                scratch.copy_from_slice(&key_buf);
-                bit_clear(&mut scratch[blue_off..blue_off + wpn], v);
-                relax(&scratch, Move::Delete(node), 0, 0, &mut arena)?;
-            }
-        }
-    }
-    Err(SolveError::NoPebblingFound)
-}
 
 /// The move-application callback the greedy helpers thread through:
 /// `(state, trace, per-processor work, move, processor)`.
@@ -520,13 +232,13 @@ pub fn solve_greedy_mpp(instance: &Instance) -> Result<MppGreedyReport, SolveErr
 /// The exact multiprocessor solver behind the [`Solver`] trait:
 /// registry family `exact@mpp[:P]`. The optional `P` overrides the
 /// instance's processor count; without it the instance's own `p` (1 for
-/// classic instances) is searched.
+/// classic instances) is searched, one red plane per processor.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactMppSolver {
     /// Processor-count override (`None`: the instance's own `p`).
     pub procs: Option<u32>,
-    /// The search knobs shared with the classic exact solver
-    /// (`astar` is ignored — no admissible product-space heuristic).
+    /// The search knobs shared with the classic exact solver (`astar`
+    /// only takes effect at one processor).
     pub cfg: ExactConfig,
 }
 
@@ -541,13 +253,6 @@ impl ExactMppSolver {
         ExactMppSolver {
             procs: Some(p),
             cfg: ExactConfig::default(),
-        }
-    }
-
-    fn derived(&self, instance: &Instance) -> Instance {
-        match self.procs {
-            Some(p) => instance.with_procs(p),
-            None => instance.clone(),
         }
     }
 }
@@ -565,45 +270,10 @@ impl Solver for ExactMppSolver {
     }
 
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        let inst = self.derived(instance);
-        let mut cfg = self.cfg;
-        cfg.validate()?;
-        bounds::check_feasible(&inst)?;
-        // seed the incumbent (and the degradation fallback) greedily
-        let seed = match solve_greedy_mpp(&inst) {
-            Ok(rep) => {
-                let ub = inst.scaled_cost(&rep.cost);
-                if cfg.prune && u64::try_from(ub).is_ok() {
-                    cfg.upper_bound = Some(cfg.upper_bound.map_or(ub as u64, |b| b.min(ub as u64)));
-                }
-                Some(rep)
-            }
-            Err(_) => None,
-        };
-        match solve_exact_mpp_budgeted(&inst, cfg, ctx) {
-            Ok((rep, optimal)) => {
-                let mut stats = mpp_stats(&inst, &rep.trace);
-                stats.set("states_expanded", rep.states_expanded as u64);
-                stats.set("states_seen", rep.states_seen as u64);
-                let quality = if optimal {
-                    Quality::Optimal
-                } else {
-                    stats.set("degraded", 1);
-                    upper_bound_quality(&inst, rep.cost)
-                };
-                Solution::validated(&inst, rep.trace, quality, stats)
-            }
-            Err(SolveError::Interrupted) | Err(SolveError::StateLimitExceeded { .. })
-                if seed.is_some() =>
-            {
-                let rep = seed.expect("guarded");
-                let mut stats = mpp_stats(&inst, &rep.trace);
-                stats.set("degraded", 1);
-                let quality = upper_bound_quality(&inst, rep.cost);
-                Solution::validated(&inst, rep.trace, quality, stats)
-            }
-            Err(e) => Err(e),
-        }
+        let inst = with_procs_override(instance, self.procs);
+        let mut sol = run_exact_family(&inst, self.cfg, inst.procs(), 1, true, ctx)?;
+        add_mpp_stats(&inst, &sol.trace, &mut sol.stats);
+        Ok(sol)
     }
 }
 
@@ -640,22 +310,28 @@ impl Solver for GreedyMppSolver {
     }
 
     fn solve(&self, instance: &Instance, _ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        let inst = match self.procs {
-            Some(p) => instance.with_procs(p),
-            None => instance.clone(),
-        };
+        let inst = with_procs_override(instance, self.procs);
         let rep = solve_greedy_mpp(&inst)?;
-        let stats = mpp_stats(&inst, &rep.trace);
+        let mut stats = Stats::new();
+        add_mpp_stats(&inst, &rep.trace, &mut stats);
         let quality = upper_bound_quality(&inst, rep.cost);
         Solution::validated(&inst, rep.trace, quality, stats)
     }
 }
 
-/// The stats every MPP solver reports: the effective processor count
-/// and the makespan statistic (max over processors of own weighted
+/// The instance an `@mpp:P` spec solves: `instance` with its processor
+/// count overridden, or as given.
+fn with_procs_override(instance: &Instance, procs: Option<u32>) -> Instance {
+    match procs {
+        Some(p) => instance.with_procs(p),
+        None => instance.clone(),
+    }
+}
+
+/// Adds the stats every MPP solver reports: the effective processor
+/// count and the makespan statistic (max over processors of own weighted
 /// work — reported, never optimized).
-fn mpp_stats(instance: &Instance, trace: &Pebbling) -> Stats {
-    let mut stats = Stats::new();
+fn add_mpp_stats(instance: &Instance, trace: &Pebbling, stats: &mut Stats) {
     stats.set("procs", instance.procs() as u64);
     if let Ok(rep) = mpp::simulate_mpp(instance, trace) {
         stats.set(
@@ -663,15 +339,21 @@ fn mpp_stats(instance: &Instance, trace: &Pebbling) -> Stats {
             u64::try_from(rep.time_scaled(instance)).unwrap_or(u64::MAX),
         );
     }
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::solve_exact;
-    use rbp_core::{CostModel, MppDim, Ratio, SinkConvention};
+    use rbp_core::{CostModel, ModelKind, MppDim, Ratio, SinkConvention};
     use rbp_graph::{generate, DagBuilder};
+
+    /// The proved `exact@mpp` optimum of `inst` at its own `p`.
+    fn proved_mpp_optimum(inst: &Instance) -> Solution {
+        let sol = ExactMppSolver::new().solve_default(inst).unwrap();
+        assert!(sol.is_optimal());
+        sol
+    }
 
     #[test]
     fn p1_exact_matches_the_classic_optimum() {
@@ -682,11 +364,50 @@ mod tests {
                 let r = dag.max_indegree() + 1;
                 let inst = Instance::new(dag, r, CostModel::of_kind(kind));
                 let classic = solve_exact(&inst).unwrap();
-                let mpp1 = solve_exact_mpp(&inst.with_procs(1)).unwrap();
+                let mpp1 = proved_mpp_optimum(&inst.with_procs(1));
                 assert_eq!(
                     inst.scaled_cost(&mpp1.cost),
                     inst.scaled_cost(&classic.cost),
                     "exact@mpp:1 must equal the classic optimum ({kind})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exact_at_p2_matches_the_unpruned_search() {
+        // the pruned product search (blue-delete dominance + incumbent
+        // cutoff + floor exit) against the exhaustive one, weighted too
+        let mut rng = rand::thread_rng();
+        for kind in ModelKind::ALL {
+            for weights in [None, Some((1, 5)), Some((5, 1))] {
+                let dag = generate::gnp_dag(4, 0.5, 2, &mut rng);
+                let r = dag.max_indegree() + 1;
+                let classic = Instance::new(dag, r, CostModel::of_kind(kind));
+                let inst = match weights {
+                    None => classic.with_procs(2),
+                    Some((comm, comp)) => classic.with_mpp(MppDim {
+                        p: 2,
+                        comm: Ratio::new(comm, 1),
+                        comp: Ratio::new(comp, 1),
+                    }),
+                };
+                let pruned = proved_mpp_optimum(&inst);
+                let unpruned = ExactMppSolver {
+                    procs: None,
+                    cfg: ExactConfig {
+                        prune: false,
+                        astar: false,
+                        ..ExactConfig::default()
+                    },
+                }
+                .solve_default(&inst)
+                .unwrap();
+                assert!(unpruned.is_optimal());
+                assert_eq!(
+                    pruned.scaled_cost(&inst),
+                    unpruned.scaled_cost(&inst),
+                    "{kind} {weights:?}"
                 );
             }
         }
@@ -702,7 +423,7 @@ mod tests {
             let mut prev = u128::MAX;
             for p in [1u32, 2, 4] {
                 let lifted = inst.with_procs(p);
-                let rep = solve_exact_mpp(&lifted).unwrap();
+                let rep = proved_mpp_optimum(&lifted);
                 let c = lifted.scaled_cost(&rep.cost);
                 assert!(c <= prev, "optimum rose from p to {p}: {prev} -> {c}");
                 prev = c;
@@ -721,12 +442,16 @@ mod tests {
         b.add_edge(3, 4);
         b.add_edge(4, 5);
         let inst = Instance::new(b.build().unwrap(), 2, CostModel::nodel());
-        let p1 = solve_exact_mpp(&inst.with_procs(1)).unwrap();
-        let p2 = solve_exact_mpp(&inst.with_procs(2)).unwrap();
+        let p1 = proved_mpp_optimum(&inst.with_procs(1));
+        let p2 = proved_mpp_optimum(&inst.with_procs(2));
         let c1 = inst.with_procs(1).scaled_cost(&p1.cost);
         let c2 = inst.with_procs(2).scaled_cost(&p2.cost);
         assert_eq!(c1, 4, "classic nodel optimum stores n - R values");
         assert_eq!(c2, 2, "p = 2 stores one value per chain");
+        // the recovered trace names the second processor and replays
+        assert!(p2.trace.has_proc_tags(), "both processors work");
+        let cert = rbp_core::certify(&inst.with_procs(2), &p2.trace).unwrap();
+        assert_eq!(cert.scaled_cost, c2);
     }
 
     #[test]
@@ -737,7 +462,7 @@ mod tests {
         b.add_edge(1, 4);
         b.add_edge(3, 4);
         let inst = Instance::new(b.build().unwrap(), 3, CostModel::base()).with_procs(2);
-        let rep = solve_exact_mpp(&inst).unwrap();
+        let rep = proved_mpp_optimum(&inst);
         let sim = engine::simulate(&inst, &rep.trace).unwrap();
         assert_eq!(sim.cost, rep.cost);
         let cert = rbp_core::certify(&inst, &rep.trace).unwrap();
@@ -755,7 +480,7 @@ mod tests {
             comm: Ratio::new(5, 1),
             comp: Ratio::new(1, 1),
         });
-        let rep = solve_exact_mpp(&inst).unwrap();
+        let rep = proved_mpp_optimum(&inst);
         // chain fits in one processor's 2 slots with deletion: no
         // transfers, 3 computes at weight 1
         assert_eq!(inst.scaled_cost(&rep.cost), 3);
@@ -770,7 +495,7 @@ mod tests {
             let r = dag.max_indegree() + 1;
             let inst = Instance::new(dag, r, CostModel::of_kind(kind)).with_procs(2);
             let greedy = solve_greedy_mpp(&inst).unwrap();
-            let exact = solve_exact_mpp(&inst).unwrap();
+            let exact = proved_mpp_optimum(&inst);
             assert!(
                 inst.scaled_cost(&exact.cost) <= inst.scaled_cost(&greedy.cost),
                 "greedy beat exact under {kind}"

@@ -55,11 +55,11 @@
 use crate::api::{Progress, SolveCtx};
 use crate::arena::{global_id, split_id, NodeTable, StateArena, NO_STATE};
 use crate::error::SolveError;
-use crate::exact::{solve_exact_budgeted, ExactConfig, ExactReport};
+use crate::exact::{recover_trace, solve_exact_budgeted, ExactConfig, ExactReport};
 use crate::expand::{Expander, Meta};
 use crate::greedy::GreedyReport;
 use crate::portfolio::{default_portfolio, solve_portfolio};
-use rbp_core::{bounds, Cost, Instance, Move, Pebbling};
+use rbp_core::{bounds, Instance, Move};
 use rbp_graph::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -139,8 +139,8 @@ pub fn solve_exact_parallel_with(
     bounds::check_feasible(instance)?;
     let mut exact = cfg.exact;
     if cfg.seed_incumbent && exact.prune {
-        if let Some((ub, _)) = greedy_incumbent(instance) {
-            exact.upper_bound = Some(exact.upper_bound.map_or(ub, |b| b.min(ub)));
+        if let Some(rep) = greedy_incumbent(instance) {
+            exact.seed_with(instance, &rep.cost);
         }
     }
     // an unlimited context never interrupts, so the outcome is optimal
@@ -172,29 +172,25 @@ pub(crate) fn solve_parallel_budgeted(
     hda_star(instance, exact, threads, ctx)
 }
 
-/// Best-of-greedy incumbent — the scaled upper bound plus the report
-/// realizing it — used to seed the exact searches and as the fallback a
-/// budget-expired solve degrades to. `None` when every greedy
-/// configuration fails (the search then starts unbounded).
+/// Best-of-greedy incumbent — the cheapest single-processor report —
+/// used to seed the exact searches and as the fallback a budget-expired
+/// solve degrades to. `None` when every greedy configuration fails (the
+/// search then starts unbounded).
 ///
 /// Cost-staged: the single default greedy runs first, and the full
 /// portfolio only when that bound could still improve — i.e. when it
-/// sits above the model's provable floor
+/// sits above the instance's provable floor
 /// ([`bounds::best_lower_bound`]). On instances whose default greedy
 /// is already optimal (chains, most zero-cost cells) seeding costs one
 /// microsecond-scale greedy solve instead of nine, which keeps the
 /// seeded sequential path competitive even on solves that finish in
 /// tens of microseconds.
-pub(crate) fn greedy_incumbent(instance: &Instance) -> Option<(u64, GreedyReport)> {
-    let eps = instance.model().epsilon();
-    let clamp = |scaled: u128| u64::try_from(scaled).unwrap_or(u64::MAX);
-    let floor = bounds::best_lower_bound(instance).scaled(eps);
+pub(crate) fn greedy_incumbent(instance: &Instance) -> Option<GreedyReport> {
+    let scaled = |rep: &GreedyReport| instance.scaled_cost(&rep.cost);
+    let floor = instance.scaled_cost(&bounds::best_lower_bound(instance));
     let first = crate::greedy::solve_greedy(instance).ok();
-    if let Some(rep) = &first {
-        if rep.cost.scaled(eps) <= floor {
-            let scaled = clamp(rep.cost.scaled(eps));
-            return first.map(|r| (scaled, r));
-        }
+    if first.as_ref().is_some_and(|rep| scaled(rep) <= floor) {
+        return first;
     }
     // escalation re-runs the other eight configurations only — the
     // default one already produced `first`
@@ -208,17 +204,8 @@ pub(crate) fn greedy_incumbent(instance: &Instance) -> Option<(u64, GreedyReport
         solve_portfolio(instance, &rest).ok().map(|(_, rep)| rep)
     };
     match (first, best) {
-        (Some(a), Some(b)) => {
-            let winner = if a.cost.scaled(eps) <= b.cost.scaled(eps) {
-                a
-            } else {
-                b
-            };
-            Some((clamp(winner.cost.scaled(eps)), winner))
-        }
-        (Some(a), None) => Some((clamp(a.cost.scaled(eps)), a)),
-        (None, Some(b)) => Some((clamp(b.cost.scaled(eps)), b)),
-        (None, None) => None,
+        (Some(a), Some(b)) => Some(if scaled(&a) <= scaled(&b) { a } else { b }),
+        (a, b) => a.or(b),
     }
 }
 
@@ -599,7 +586,7 @@ impl<'a, 's> Worker<'a, 's> {
             heur: self.nodes.heur[idx],
         };
         debug_assert!(!meta.is_goal(), "goals are never queued for expansion");
-        let res = if exp.prune() && exp.oneshot() && exp.is_dead(&key_buf) {
+        let res = if exp.is_dead(&key_buf) {
             Ok(())
         } else {
             let from = global_id(self.me as u32, local, self.shards as u32);
@@ -685,7 +672,7 @@ fn hda_star(
     threads: usize,
     ctx: &SolveCtx,
 ) -> Result<(ExactReport, bool), SolveError> {
-    let probe = Expander::new(instance, exact.prune, exact.astar);
+    let probe = Expander::new(instance, 1, exact.prune, exact.astar);
     let key_words = probe.key_words();
     let init = probe.initial_key();
     let root_meta = probe.meta_scan(&init);
@@ -728,7 +715,7 @@ fn hda_star(
                 let shared = &shared;
                 let init = &init;
                 scope.spawn(move || {
-                    let mut exp = Expander::new(instance, exact.prune, exact.astar);
+                    let mut exp = Expander::new(instance, 1, exact.prune, exact.astar);
                     let mut w = Worker {
                         me,
                         shards: threads,
@@ -741,7 +728,7 @@ fn hda_star(
                         txs,
                         rx,
                         #[cfg(debug_assertions)]
-                        check: Expander::new(instance, exact.prune, exact.astar),
+                        check: Expander::new(instance, 1, exact.prune, exact.astar),
                         #[cfg(not(debug_assertions))]
                         _marker: std::marker::PhantomData,
                         popped: 0,
@@ -791,34 +778,18 @@ fn hda_star(
     }
 
     // walk the goal's parent chain across the collected shards
-    let mut moves = Vec::new();
-    let mut cur = best_id;
-    loop {
-        let (shard, local) = split_id(cur, threads as u32);
-        let (prev, mv) = shards[shard as usize].1.parent[local as usize];
-        if prev == NO_STATE {
-            break;
-        }
-        moves.push(mv);
-        cur = prev;
-    }
-    moves.reverse();
-    let trace = Pebbling::from_moves(moves);
-    let stats = trace.stats();
-    let cost = Cost {
-        transfers: stats.transfers(),
-        computes: stats.computes,
-    };
-    debug_assert_eq!(cost.scaled(instance.model().epsilon()), best_g as u128);
-    Ok((
-        ExactReport {
-            cost,
-            trace,
-            states_expanded: shards.iter().map(|s| s.2).sum(),
-            states_seen: shards.iter().map(|s| s.0.len()).sum(),
-        },
-        !stopped,
-    ))
+    let trace = recover_trace(&probe, best_id, |gid| {
+        let (shard, local) = split_id(gid, threads as u32);
+        let (arena, nodes, _) = &shards[shard as usize];
+        (arena.key(local), nodes.parent[local as usize])
+    });
+    let report = ExactReport::from_trace(
+        trace,
+        shards.iter().map(|s| s.2).sum(),
+        shards.iter().map(|s| s.0.len()).sum(),
+    );
+    debug_assert_eq!(instance.scaled_cost(&report.cost), best_g as u128);
+    Ok((report, !stopped))
 }
 
 #[cfg(test)]

@@ -34,7 +34,6 @@ pub fn solve_portfolio(
     configs: &[GreedyConfig],
 ) -> Result<(GreedyConfig, GreedyReport), SolveError> {
     assert!(!configs.is_empty(), "empty portfolio");
-    let eps = instance.model().epsilon();
     let slots: Vec<Result<GreedyReport, SolveError>> =
         crate::pool::run_indexed(configs.len(), |i| solve_greedy_with(instance, configs[i]));
 
@@ -45,7 +44,7 @@ pub fn solve_portfolio(
             Ok(rep) => {
                 let better = match &best {
                     None => true,
-                    Some((_, b)) => rep.cost.scaled(eps) < b.cost.scaled(eps),
+                    Some((_, b)) => instance.scaled_cost(&rep.cost) < instance.scaled_cost(&b.cost),
                 };
                 if better {
                     best = Some((*cfg, rep));

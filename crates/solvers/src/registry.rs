@@ -12,6 +12,7 @@
 //! spec := family [":" args]
 //!
 //! exact                         sequential exact (pruned, A*, greedy-seeded)
+//!                               over single-processor schedules
 //! exact:unseeded                same, without the greedy incumbent seed
 //! exact-parallel[:THREADS]      hash-sharded parallel exact; THREADS ≥ 1
 //!                               (default: all cores)
@@ -21,9 +22,10 @@
 //!     EVICT ∈ min-uses | lru | fifo | random(SEED)
 //! beam[:WIDTH]                  beam search; WIDTH ≥ 1 (default 8)
 //! portfolio                     best of the nine greedy configurations
-//! exact@mpp[:P]                 exact multiprocessor pebbling (Dijkstra over
-//!                               the product state space); P ≥ 1 overrides the
-//!                               instance's processor count
+//! exact@mpp[:P]                 exact multiprocessor pebbling: the exact
+//!                               search over one red plane per processor;
+//!                               P ≥ 1 overrides the instance's processor
+//!                               count
 //! greedy@mpp[:P]                greedy multiprocessor list scheduling
 //! coarse[:K[/INNER]]            hierarchical coarsening: partition into K
 //!                               acyclic groups (default: ⌈n/12⌉; K may be
@@ -31,6 +33,12 @@
 //!                               this grammar; default portfolio), stitch the
 //!                               traces with boundary stores/loads
 //! ```
+//!
+//! Every exact spec optimizes the instance's own objective
+//! (`transfers·comm + computes·comp`, [`rbp_core::Instance::cost_scales`])
+//! and answers `Optimal` only when it searched every processor: `exact`
+//! on a `p > 1` instance proves the single-processor optimum and reports
+//! it as an upper bound.
 //!
 //! Degenerate numeric arguments (`exact-parallel:0`, `beam:0`) parse
 //! but fail at solve time with [`SolveError::BadConfig`], mirroring the

@@ -105,14 +105,15 @@ fn solve_point(instance: &Instance, r: usize, solver: &dyn Solver, ctx: &SolveCt
 /// non-increasing in R and each extra pebble saves at most 2n transfers
 /// (`opt(R−1) ≤ opt(R) + 2n`). Returns the first violating pair, if any.
 pub fn check_tradeoff_laws(instance: &Instance, points: &[SweepPoint]) -> Option<(usize, usize)> {
-    let eps = instance.model().epsilon();
-    let slack = rbp_core::bounds::max_tradeoff_slope(instance) as u128 * eps.den() as u128;
+    // the slope law counts transfers, each priced `comm`
+    let (comm, _) = instance.cost_scales();
+    let slack = rbp_core::bounds::max_tradeoff_slope(instance) as u128 * comm as u128;
     for w in points.windows(2) {
         let (a, b) = (&w[0], &w[1]);
         let (Ok(ca), Ok(cb)) = (&a.result, &b.result) else {
             continue;
         };
-        let (sa, sb) = (ca.cost.scaled(eps), cb.cost.scaled(eps));
+        let (sa, sb) = (ca.scaled_cost(instance), cb.scaled_cost(instance));
         // monotone: more pebbles never hurt
         if sb > sa {
             return Some((a.r, b.r));

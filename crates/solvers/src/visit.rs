@@ -230,7 +230,6 @@ impl GroupedDag {
         pinned: &[NodeId],
         out: &mut impl FnMut(Move),
     ) -> Result<u128, SolveError> {
-        let eps = instance.model().epsilon();
         let mut scaled = 0u128;
         while state.red_count() >= instance.red_limit() {
             let dag = instance.dag();
@@ -272,7 +271,7 @@ impl GroupedDag {
             };
             let c = state.apply(mv, instance).map_err(SolveError::Pebbling)?;
             out(mv);
-            scaled += c.scaled(eps);
+            scaled += instance.scaled_cost(&c);
         }
         Ok(scaled)
     }
@@ -287,7 +286,7 @@ fn apply_move(
 ) -> Result<u128, SolveError> {
     let c = state.apply(mv, instance).map_err(SolveError::Pebbling)?;
     out(mv);
-    Ok(c.scaled(instance.model().epsilon()))
+    Ok(instance.scaled_cost(&c))
 }
 
 /// Result of a visit-order search.
@@ -400,7 +399,7 @@ pub fn best_order_from(
         computes: stats.computes,
     };
     Ok(OrderResult {
-        scaled: cost.scaled(instance.model().epsilon()),
+        scaled: instance.scaled_cost(&cost),
         cost,
         order,
         trace,

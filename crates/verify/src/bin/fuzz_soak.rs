@@ -246,8 +246,9 @@ fn run_chunk(
         }
     }
     // every fourth draw is lifted to the multiprocessor game, rotating
-    // p through {1, 2, 4} by index, so each soak also exercises the
-    // cross-p lattice on instances that carry the mpp dimension
+    // p through {1, 2, 4} and the (comm, comp) weights through the
+    // default, (1, 5) and (5, 1) by index, so each soak also checks the
+    // exact specs against weighted objectives
     for i in offset..offset + count {
         let g = if i % 4 == 3 {
             ensemble::mpp_instance_at(seed, i as u64, ensemble_cfg)

@@ -232,8 +232,6 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
     if !instance.is_feasible() {
         return out;
     }
-    let eps = instance.model().epsilon();
-
     // -- anchor: the sequential exact optimum ---------------------------
     out.solves += 1;
     let anchor = match registry::solve("exact", instance) {
@@ -252,10 +250,12 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
     // instance) is legal but cannot anchor optimum comparisons: the
     // optimum is then only known to lie in its bracket.
     let anchored = anchor.is_optimal();
-    let opt = anchor.cost.scaled(eps);
+    // every cost and bound below is priced with the instance's own
+    // weights, the units `Quality::UpperBound::lower_bound` carries
+    let opt = anchor.scaled_cost(instance);
 
     // -- the structural lower bound must not exceed the optimum ---------
-    let structural_lb = bounds::best_lower_bound(instance).scaled(eps);
+    let structural_lb = instance.scaled_cost(&bounds::best_lower_bound(instance));
     if anchored && structural_lb > opt {
         out.violations.push(Violation {
             invariant: Invariant::DegradedBracket,
@@ -287,7 +287,7 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
             }
         };
         certify_solution(instance, spec, &sol, &mut out);
-        let cost = sol.cost.scaled(eps);
+        let cost = sol.scaled_cost(instance);
         if sol.is_optimal() {
             if anchored && cost != opt {
                 out.violations.push(Violation {
@@ -333,7 +333,7 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
     match registry::solve_with("exact", instance, &ctx) {
         Ok(sol) if anchored => {
             certify_solution(instance, "exact(degraded)", &sol, &mut out);
-            let cost = sol.cost.scaled(eps);
+            let cost = sol.scaled_cost(instance);
             match sol.quality {
                 rbp_solvers::Quality::Optimal => {
                     if cost != opt {

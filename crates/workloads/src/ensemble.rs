@@ -23,7 +23,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rbp_core::{CostModel, Instance, ModelKind, SinkConvention, SourceConvention};
+use rbp_core::{CostModel, Instance, ModelKind, MppDim, Ratio, SinkConvention, SourceConvention};
 use rbp_graph::generate;
 
 /// The random DAG families an ensemble rotates through.
@@ -175,14 +175,33 @@ pub fn stream(base_seed: u64, cfg: EnsembleConfig) -> impl Iterator<Item = Gener
 /// `mpp:1 ≡ classic` equivalence on every soak.
 pub const MPP_PROCS: [u32; 3] = [1, 2, 4];
 
+/// The `(comm, comp)` weightings the multiprocessor ensemble rotates
+/// through: the model's default objective (`None`), then a
+/// compute-heavy and a communication-heavy one.
+pub const MPP_WEIGHTS: [Option<(u64, u64)>; 3] = [None, Some((1, 5)), Some((5, 1))];
+
 /// The multiprocessor variant of [`instance_at`]: the same underlying
 /// classic draw, lifted to `p` processors with `p` rotating through
-/// [`MPP_PROCS`] by index. Labels gain a `-p<procs>` suffix.
+/// [`MPP_PROCS`] by index and the weights through [`MPP_WEIGHTS`] by
+/// `index / 3`, so every `(p, weights)` pair recurs. Labels gain a
+/// `-p<procs>` suffix, plus `-w<comm>x<comp>` when weighted.
 pub fn mpp_instance_at(base_seed: u64, index: u64, cfg: &EnsembleConfig) -> GeneratedInstance {
     let mut g = instance_at(base_seed, index, cfg);
     let p = MPP_PROCS[(index % MPP_PROCS.len() as u64) as usize];
-    g.instance = g.instance.with_procs(p);
-    g.name = format!("{}-p{p}", g.name);
+    match MPP_WEIGHTS[(index / 3 % MPP_WEIGHTS.len() as u64) as usize] {
+        None => {
+            g.instance = g.instance.with_procs(p);
+            g.name = format!("{}-p{p}", g.name);
+        }
+        Some((comm, comp)) => {
+            g.instance = g.instance.with_mpp(MppDim {
+                p,
+                comm: Ratio::new(comm, 1),
+                comp: Ratio::new(comp, 1),
+            });
+            g.name = format!("{}-p{p}-w{comm}x{comp}", g.name);
+        }
+    }
     g
 }
 
@@ -317,6 +336,18 @@ mod tests {
             assert!(
                 sample.iter().any(|g| g.instance.procs() == p as usize),
                 "processor count {p} missing from rotation"
+            );
+        }
+        for weights in MPP_WEIGHTS {
+            assert!(
+                sample.iter().any(|g| match weights {
+                    None => g
+                        .instance
+                        .mpp()
+                        .is_none_or(|d| d.has_default_weights(g.instance.model())),
+                    Some(scales) => g.instance.cost_scales() == scales,
+                }),
+                "weights {weights:?} missing from rotation"
             );
         }
         for g in &sample {

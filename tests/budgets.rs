@@ -150,3 +150,27 @@ fn loose_budgets_do_not_perturb_optima() {
         assert_eq!(budgeted.cost.scaled(eps), free.cost.scaled(eps), "{spec}");
     }
 }
+
+/// A capped search that ends without a goal answers with its greedy
+/// seed but keeps the search's counters: pyramid(4) at R = 3 on two
+/// processors finds no goal in 10 000 expansions, so `exact@mpp`
+/// degrades to the list scheduler's schedule (scaled cost 8, optimum 6)
+/// and still reports the expansions it spent.
+#[test]
+fn seed_fallback_keeps_the_search_counters() {
+    let pyramid = red_blue_pebbling::gadgets::pyramid::build(4).dag;
+    let inst = Instance::new(pyramid, 3, CostModel::base()).with_procs(2);
+    let ctx = SolveCtx::new(Budget::none().with_max_expansions(10_000));
+    let sol = registry::solver("exact@mpp")
+        .unwrap()
+        .solve(&inst, &ctx)
+        .unwrap();
+    assert_eq!(sol.stats.get("degraded"), Some(1));
+    assert!(matches!(sol.quality, Quality::UpperBound { .. }));
+    assert_eq!(sol.scaled_cost(&inst), 8);
+    let expanded = sol
+        .states_expanded()
+        .expect("counters survive the fallback");
+    assert!(expanded >= 10_000, "{expanded} expansions");
+    assert!(sol.states_seen().unwrap() >= expanded);
+}
