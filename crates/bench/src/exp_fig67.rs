@@ -49,7 +49,7 @@ pub fn run(out: &Path) {
 
         // an approximate pebbling decodes to a larger cover
         let greedy = registry::solve("greedy", &inst).expect("feasible");
-        let visits = visits_of(&red, &greedy.computation_order());
+        let visits = visits_of(&red, &greedy.trace.first_computations());
         let greedy_cover = red.decode(&visits);
         let approx = vertex_cover::two_approx_cover(&red.graph);
 

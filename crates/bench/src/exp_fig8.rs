@@ -51,7 +51,7 @@ pub fn run(out: &Path) {
         let rep = GreedySolver::with_config(greedy_cfg())
             .solve_default(&inst)
             .expect("feasible");
-        let visits = g.decode_visits(&rep.computation_order());
+        let visits = g.decode_visits(&rep.trace.first_computations());
         let trapped = visits == g.greedy_order();
         let opt_trace = g
             .grouped

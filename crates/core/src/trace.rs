@@ -1,5 +1,6 @@
 //! Pebbling traces: a recorded sequence of moves with statistics.
 
+use crate::cost::Cost;
 use crate::moves::Move;
 use rbp_graph::NodeId;
 use std::fmt;
@@ -148,11 +149,15 @@ impl Pebbling {
     /// The order in which nodes receive their *first* computation — the
     /// visit order that characterizes oneshot strategies (Section 8).
     pub fn first_computations(&self) -> Vec<NodeId> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen: Vec<bool> = Vec::new();
         let mut order = Vec::new();
         for m in &self.moves {
             if let Move::Compute(v) = m {
-                if seen.insert(*v) {
+                if seen.len() <= v.index() {
+                    seen.resize(v.index() + 1, false);
+                }
+                if !seen[v.index()] {
+                    seen[v.index()] = true;
                     order.push(*v);
                 }
             }
@@ -229,6 +234,16 @@ impl TraceStats {
     pub fn transfers(&self) -> u64 {
         self.loads + self.stores
     }
+
+    /// The cost these counts add up to: one transfer per load or store,
+    /// one compute per compute. For a legal trace this is the cost the
+    /// engine's replay charges.
+    pub fn cost(&self) -> Cost {
+        Cost {
+            transfers: self.transfers(),
+            computes: self.computes,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -253,6 +268,13 @@ mod tests {
         assert_eq!(s.computes, 2);
         assert_eq!(s.deletes, 1);
         assert_eq!(s.transfers(), 2);
+        assert_eq!(
+            s.cost(),
+            Cost {
+                transfers: 2,
+                computes: 2
+            }
+        );
         assert_eq!(p.len(), 5);
     }
 

@@ -326,7 +326,7 @@ mod tests {
         })
         .solve_default(&inst)
         .unwrap();
-        let visits = g.decode_visits(&rep.computation_order());
+        let visits = g.decode_visits(&rep.trace.first_computations());
         assert_eq!(
             visits,
             g.greedy_order(),
@@ -426,7 +426,7 @@ mod tests {
                 rule,
                 SelectionRule::MostRedInputs | SelectionRule::HighestRedRatio
             ) {
-                let visits = g.decode_visits(&rep.computation_order());
+                let visits = g.decode_visits(&rep.trace.first_computations());
                 assert_eq!(visits, g.greedy_order(), "rule {rule} escaped the trap");
             }
             assert!(

@@ -337,7 +337,7 @@ mod tests {
         let inst = red.instance(CostModel::oneshot());
         let rep = rbp_solvers::registry::solve("greedy", &inst).unwrap();
         // recover group visits from target first-computations
-        let visits = visits_of(&red, &rep.computation_order());
+        let visits = visits_of(&red, &rep.trace.first_computations());
         let cover = red.decode(&visits);
         assert!(red.graph.is_vertex_cover(&cover));
         let opt = vertex_cover::min_vertex_cover(&red.graph).len();

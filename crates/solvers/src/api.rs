@@ -32,21 +32,21 @@
 //! same degradation covers the [`ExactConfig::max_states`] memory guard
 //! when a seed exists.
 //!
-//! Heuristic solvers ([`GreedySolver`], [`PortfolioSolver`]) are
-//! single-pass and complete in microseconds; they run to completion
-//! regardless of the budget. [`BeamSolver`] checks the budget per depth
-//! but holds no valid partial pebbling, so an expired budget surfaces as
-//! [`SolveError::Interrupted`] there.
+//! The greedy heuristics ([`GreedySolver`], [`PortfolioSolver`], and the
+//! multiprocessor list scheduler) ignore the budget and run to
+//! completion, which takes milliseconds to a second on the
+//! thousands-of-nodes workloads. [`BeamSolver`] checks the budget per
+//! depth but holds no valid partial pebbling, so an expired budget
+//! surfaces as [`SolveError::Interrupted`] there.
 
 use crate::beam::{solve_beam_budgeted, BeamConfig};
 use crate::error::SolveError;
 use crate::exact::{ExactConfig, Search};
-use crate::greedy::{solve_greedy_with, GreedyConfig, GreedyReport};
+use crate::greedy::{solve_greedy_with, GreedyConfig};
 use crate::mpp::solve_greedy_mpp;
-use crate::parallel::{greedy_incumbent, solve_parallel_budgeted, ParallelConfig};
-use crate::portfolio::{default_portfolio, solve_portfolio};
-use rbp_core::{bounds, engine, Cost, Instance, Move, Pebbling};
-use rbp_graph::NodeId;
+use crate::parallel::hda_star;
+use crate::portfolio::{default_portfolio, greedy_incumbent, solve_portfolio};
+use rbp_core::{bounds, engine, Cost, Instance, Pebbling};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -277,9 +277,8 @@ impl Stats {
 /// engine-exact cost, provenance, and stats.
 #[derive(Clone, Debug)]
 pub struct Solution {
-    /// The concrete pebbling. Always replayed through
-    /// [`engine::simulate`] before being returned (empty for
-    /// [`Quality::Infeasible`]).
+    /// The concrete pebbling. Replayed once through [`engine::simulate`]
+    /// before being returned (empty for [`Quality::Infeasible`]).
     pub trace: Pebbling,
     /// The trace's exact cost, as computed by the engine.
     pub cost: Cost,
@@ -290,28 +289,25 @@ pub struct Solution {
 }
 
 impl Solution {
-    /// Validates `trace` on the engine and wraps it. The stored cost is
-    /// the engine's, so a solver can never report a cost its trace does
-    /// not realize. A [`Quality::UpperBound`] whose `lower_bound`
-    /// exceeds the engine cost is an impossible bracket and is rejected
-    /// here with [`SolveError::BoundViolation`] — the invariant is
-    /// enforced at construction, not trusted to each solver.
-    pub(crate) fn validated(
+    /// The one constructor every solver answers through: replays `trace`
+    /// on the engine and wraps it. The cost is the engine's, so a solver
+    /// can never report a cost its trace does not realize. `proved` marks
+    /// a trace the solver proved optimal by exhaustive search; any other
+    /// answer is bracketed by [`bounds::best_lower_bound`] against the
+    /// replayed cost ([`bracket`]).
+    pub(crate) fn replay(
         instance: &Instance,
         trace: Pebbling,
-        quality: Quality,
+        proved: bool,
         stats: Stats,
     ) -> Result<Solution, SolveError> {
         let sim = engine::simulate(instance, &trace).map_err(|e| SolveError::Pebbling(e.error))?;
-        if let Quality::UpperBound { lower_bound } = quality {
-            let scaled = sim.scaled_cost(instance);
-            if lower_bound > scaled {
-                return Err(SolveError::BoundViolation {
-                    lower_bound,
-                    cost: scaled,
-                });
-            }
-        }
+        let quality = if proved {
+            Quality::Optimal
+        } else {
+            let lower_bound = instance.scaled_cost(&bounds::best_lower_bound(instance));
+            bracket(lower_bound, sim.scaled_cost(instance))?
+        };
         Ok(Solution {
             trace,
             cost: sim.cost,
@@ -351,42 +347,21 @@ impl Solution {
     pub fn states_seen(&self) -> Option<u64> {
         self.stats.get("states_seen")
     }
-
-    /// The order in which nodes were first computed, recovered from the
-    /// trace (what `GreedyReport::order` used to carry).
-    pub fn computation_order(&self) -> Vec<NodeId> {
-        let mut seen: Vec<bool> = Vec::new();
-        let mut order = Vec::new();
-        for mv in self.trace.moves() {
-            if let Move::Compute(v) = mv {
-                if seen.len() <= v.index() {
-                    seen.resize(v.index() + 1, false);
-                }
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    order.push(*v);
-                }
-            }
-        }
-        order
-    }
 }
 
-/// The [`Quality`] of a heuristic result: [`Quality::Optimal`] when the
-/// cost meets the structural lower bound (then the heuristic *proved*
-/// optimality), otherwise an upper bound carrying that lower bound.
-pub(crate) fn upper_bound_quality(instance: &Instance, cost: Cost) -> Quality {
-    let lb = instance.scaled_cost(&bounds::best_lower_bound(instance));
-    let scaled = instance.scaled_cost(&cost);
-    debug_assert!(
-        lb <= scaled,
-        "structural lower bound {lb} exceeds a realized cost {scaled} — \
-         bounds::best_lower_bound is unsound"
-    );
-    if scaled == lb {
-        Quality::Optimal
+/// The [`Quality`] of an answer not proved optimal, from a proved lower
+/// bound and the answer's replayed cost (both scaled):
+/// [`Quality::Optimal`] when the cost meets the bound (the heuristic then
+/// *proved* optimality), otherwise an upper bound carrying it. A lower
+/// bound above a realized cost is an impossible bracket, so an unsound
+/// bound surfaces as [`SolveError::BoundViolation`] instead of a claim.
+fn bracket(lower_bound: u128, cost: u128) -> Result<Quality, SolveError> {
+    if lower_bound > cost {
+        Err(SolveError::BoundViolation { lower_bound, cost })
+    } else if lower_bound == cost {
+        Ok(Quality::Optimal)
     } else {
-        Quality::UpperBound { lower_bound: lb }
+        Ok(Quality::UpperBound { lower_bound })
     }
 }
 
@@ -549,62 +524,52 @@ pub(crate) fn run_exact_family(
     // the incumbent, and the fallback of a search that ends without a
     // goal: the list scheduler over several planes, else the cost-staged
     // single-processor greedy
-    let seed: Option<(Cost, Pebbling)> = match (seed_incumbent && cfg.prune, planes) {
+    let seed: Option<Pebbling> = match (seed_incumbent && cfg.prune, planes) {
         (false, _) => None,
-        (true, 1) => greedy_incumbent(instance).map(|rep| (rep.cost, rep.trace)),
-        (true, _) => solve_greedy_mpp(instance)
-            .ok()
-            .map(|rep| (rep.cost, rep.trace)),
+        (true, 1) => greedy_incumbent(instance),
+        (true, _) => solve_greedy_mpp(instance).ok(),
     };
-    if let Some((cost, _)) = &seed {
-        cfg.seed_with(instance, cost);
+    if let Some(trace) = &seed {
+        cfg.seed_with(instance, &trace.stats().cost());
     }
-    let mut counters = None;
-    let searched = if threads == 1 {
+    let (searched, counters) = if threads == 1 {
         let mut search = Search::new(instance, cfg, planes);
         let searched = search.run(ctx);
-        counters = Some(search.counters());
-        searched
+        (searched, Some(search.counters()))
     } else {
         debug_assert_eq!(planes, 1, "the sharded search covers one plane");
-        solve_parallel_budgeted(instance, cfg, threads, ctx)
-    };
-    let mut stats = Stats::new();
-    match searched {
-        Ok((report, optimal)) => {
-            stats.set("states_expanded", report.states_expanded as u64);
-            stats.set("states_seen", report.states_seen as u64);
-            if !optimal {
-                stats.set("degraded", 1);
-            }
-            // a search over fewer planes than processors only proves the
-            // single-processor optimum, which the multiprocessor one can
-            // undercut
-            let quality = if optimal && planes == instance.procs() {
-                Quality::Optimal
-            } else {
-                upper_bound_quality(instance, report.cost)
-            };
-            Solution::validated(instance, report.trace, quality, stats)
+        match hda_star(instance, cfg, threads, ctx) {
+            Ok((found, counters)) => (Ok(found), Some(counters)),
+            Err(e) => (Err(e), None),
         }
+    };
+    let (trace, optimal) = match (searched, seed) {
+        (Ok(found), _) => found,
         // budget expired (or the memory guard tripped) before any goal
         // was reached: fall back to the greedy incumbent's trace, still
-        // reporting the work the search did
-        Err(SolveError::Interrupted) | Err(SolveError::StateLimitExceeded { .. })
-            if seed.is_some() =>
-        {
-            let (cost, trace) = seed.expect("guarded");
-            if let Some((expanded, seen)) = counters {
-                stats.set("states_expanded", expanded as u64);
-                stats.set("states_seen", seen as u64);
-            }
-            stats.set("degraded", 1);
-            // a seed that meets the lower bound genuinely is optimal
-            let quality = upper_bound_quality(instance, cost);
-            Solution::validated(instance, trace, quality, stats)
+        // reporting the work the search did (a seed that meets the lower
+        // bound genuinely is optimal)
+        (Err(SolveError::Interrupted | SolveError::StateLimitExceeded { .. }), Some(seed)) => {
+            (seed, false)
         }
-        Err(e) => Err(e),
+        (Err(e), _) => return Err(e),
+    };
+    let mut stats = Stats::new();
+    if let Some((expanded, seen)) = counters {
+        stats.set("states_expanded", expanded as u64);
+        stats.set("states_seen", seen as u64);
     }
+    if !optimal {
+        stats.set("degraded", 1);
+    }
+    // a search over fewer planes than processors only proves the
+    // single-processor optimum, which the multiprocessor one can undercut
+    Solution::replay(
+        instance,
+        trace,
+        optimal && planes == instance.procs(),
+        stats,
+    )
 }
 
 impl Solver for ExactSolver {
@@ -639,10 +604,26 @@ impl Solver for ExactSolver {
 /// the [`Solver`] trait. `threads == 1` routes to the sequential path
 /// (still incumbent-seeded); the budget is polled once per worker
 /// quantum, so cancellation stops the search within one batch quantum.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct ParallelExactSolver {
-    /// Thread count, search knobs, and seeding policy.
-    pub cfg: ParallelConfig,
+    /// Worker-thread count (≥ 1). The default resolves
+    /// `available_parallelism`; an explicit `0` is a
+    /// [`SolveError::BadConfig`], not a silent fallback.
+    pub threads: usize,
+    /// The search knobs and seeding policy, shared with the sequential
+    /// solver. `max_states` bounds the *total* interned states across
+    /// all shards.
+    pub exact: ExactSolver,
+}
+
+impl Default for ParallelExactSolver {
+    fn default() -> Self {
+        ParallelExactSolver::with_threads(
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1),
+        )
+    }
 }
 
 impl ParallelExactSolver {
@@ -654,10 +635,8 @@ impl ParallelExactSolver {
     /// A fixed thread count (must be ≥ 1; validated at solve time).
     pub fn with_threads(threads: usize) -> Self {
         ParallelExactSolver {
-            cfg: ParallelConfig {
-                threads,
-                ..ParallelConfig::default()
-            },
+            threads,
+            exact: ExactSolver::new(),
         }
     }
 }
@@ -668,21 +647,24 @@ impl Solver for ParallelExactSolver {
     }
 
     fn spec(&self) -> String {
-        format!("exact-parallel:{}", self.cfg.threads)
+        format!("exact-parallel:{}", self.threads)
     }
 
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        self.cfg.validate()?;
-        let threads = self.cfg.threads;
-        let mut sol = run_exact_family(
-            instance,
-            self.cfg.exact,
-            1,
-            threads,
-            self.cfg.seed_incumbent,
-            ctx,
-        )?;
-        sol.stats.set("threads", threads as u64);
+        if self.threads == 0 {
+            return Err(SolveError::BadConfig {
+                reason: "ParallelExactSolver::threads must be >= 1 (the default resolves \
+                         available_parallelism; an explicit 0 is rejected rather than silently \
+                         remapped)"
+                    .into(),
+            });
+        }
+        let ExactSolver {
+            cfg,
+            seed_incumbent,
+        } = self.exact;
+        let mut sol = run_exact_family(instance, cfg, 1, self.threads, seed_incumbent, ctx)?;
+        sol.stats.set("threads", self.threads as u64);
         Ok(sol)
     }
 }
@@ -691,20 +673,10 @@ impl Solver for ParallelExactSolver {
 // heuristics
 // ---------------------------------------------------------------------
 
-/// Wraps a heuristic trace: validated, tagged as an upper bound (or
-/// [`Quality::Optimal`] when it meets the structural lower bound).
-fn heuristic_solution(
-    instance: &Instance,
-    report: GreedyReport,
-    stats: Stats,
-) -> Result<Solution, SolveError> {
-    let quality = upper_bound_quality(instance, report.cost);
-    Solution::validated(instance, report.trace, quality, stats)
-}
-
 /// One greedy rule × eviction policy ([`crate::greedy`]) behind the
-/// [`Solver`] trait. Single-pass and microsecond-scale: runs to
-/// completion regardless of the budget.
+/// [`Solver`] trait. Single-pass and quadratic in the node count (about
+/// 100 ms on the 8448-node matmul16); it ignores the budget and runs to
+/// completion.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GreedySolver {
     /// Selection rule and eviction policy.
@@ -733,8 +705,8 @@ impl Solver for GreedySolver {
     }
 
     fn solve(&self, instance: &Instance, _ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        let rep = solve_greedy_with(instance, self.cfg)?;
-        heuristic_solution(instance, rep, Stats::new())
+        let trace = solve_greedy_with(instance, self.cfg)?;
+        Solution::replay(instance, trace, false, Stats::new())
     }
 }
 
@@ -772,16 +744,17 @@ impl Solver for BeamSolver {
     }
 
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        let rep = solve_beam_budgeted(instance, self.cfg, ctx)?;
+        let trace = solve_beam_budgeted(instance, self.cfg, ctx)?;
         let mut stats = Stats::new();
         stats.set("width", self.cfg.width as u64);
-        heuristic_solution(instance, rep, stats)
+        Solution::replay(instance, trace, false, stats)
     }
 }
 
 /// Best-of-greedy portfolio ([`crate::portfolio`]) behind the [`Solver`]
 /// trait: every configuration runs on the shared work-queue pool, the
-/// cheapest valid pebbling wins.
+/// cheapest valid pebbling wins. Like [`GreedySolver`] it ignores the
+/// budget.
 #[derive(Clone, Debug)]
 pub struct PortfolioSolver {
     /// The greedy configurations raced against each other.
@@ -820,12 +793,11 @@ impl Solver for PortfolioSolver {
                 reason: "portfolio has no configurations".into(),
             });
         }
-        let (winner, rep) = solve_portfolio(instance, &self.configs)?;
+        let (winner, trace) = solve_portfolio(instance, &self.configs)?;
         let mut stats = Stats::new();
         stats.set("portfolio_size", self.configs.len() as u64);
-        let winner_index = self.configs.iter().position(|c| *c == winner).unwrap_or(0) as u64;
-        stats.set("winner_index", winner_index);
-        heuristic_solution(instance, rep, stats)
+        stats.set("winner_index", winner as u64);
+        Solution::replay(instance, trace, false, stats)
     }
 }
 
@@ -910,10 +882,10 @@ mod tests {
     }
 
     #[test]
-    fn computation_order_matches_trace() {
+    fn first_computations_follow_a_topological_order() {
         let inst = Instance::new(generate::chain(5), 2, CostModel::oneshot());
         let sol = GreedySolver::new().solve_default(&inst).unwrap();
-        let order = sol.computation_order();
+        let order = sol.trace.first_computations();
         assert_eq!(order.len(), 5);
         assert!(rbp_graph::is_topological_order(inst.dag(), &order));
     }
@@ -954,37 +926,28 @@ mod tests {
 
     #[test]
     fn impossible_bound_bracket_rejected_at_construction() {
-        // 0 -> 1, R = 2: computing both nodes costs 0 transfers
+        // a lower bound of 7 on a cost-0 trace is an impossible bracket
+        // and must be refused with the structured error
+        assert_eq!(
+            bracket(7, 0).unwrap_err(),
+            SolveError::BoundViolation {
+                lower_bound: 7,
+                cost: 0
+            }
+        );
+        // a consistent bracket passes, and a met bound proves optimality
+        assert_eq!(bracket(0, 3), Ok(Quality::UpperBound { lower_bound: 0 }));
+        assert_eq!(bracket(3, 3), Ok(Quality::Optimal));
+        // 0 -> 1, R = 2: computing both nodes costs 0 transfers, which
+        // meets the structural bound, so even an unproved replay is optimal
         let mut b = DagBuilder::new(2);
         b.add_edge(0, 1);
         let inst = Instance::new(b.build().unwrap(), 2, CostModel::oneshot());
         let mut trace = Pebbling::new();
         trace.compute(rbp_graph::NodeId::new(0));
         trace.compute(rbp_graph::NodeId::new(1));
-        // a claimed lower bound of 7 on a cost-0 trace is an impossible
-        // bracket and must be refused with the structured error
-        let err = Solution::validated(
-            &inst,
-            trace.clone(),
-            Quality::UpperBound { lower_bound: 7 },
-            Stats::new(),
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            SolveError::BoundViolation {
-                lower_bound: 7,
-                cost: 0
-            }
-        );
-        // a consistent bracket still passes
-        let ok = Solution::validated(
-            &inst,
-            trace,
-            Quality::UpperBound { lower_bound: 0 },
-            Stats::new(),
-        );
-        assert!(ok.is_ok());
+        let sol = Solution::replay(&inst, trace, false, Stats::new()).unwrap();
+        assert!(sol.is_optimal());
     }
 
     #[test]

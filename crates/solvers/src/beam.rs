@@ -7,15 +7,16 @@
 //! tie-breaking degenerates to greedy; growing widths trade time for
 //! cost and can escape Theorem-4-style traps that fool every fixed rule.
 //!
-//! The acquisition mechanics per expansion mirror the greedy solver:
-//! inputs are loaded (or sources computed on demand), dead values are
-//! deleted for free, sinks are stored, live victims are evicted by
+//! The acquisition mechanics per expansion are the greedy solver's:
+//! inputs are loaded (or sources computed on demand), and the greedy
+//! eviction routine under [`EvictionPolicy::MinUses`] deletes dead values
+//! for free, stores sinks, and evicts live victims by
 //! fewest-remaining-uses.
 
 use crate::api::SolveCtx;
 use crate::error::SolveError;
-use crate::greedy::GreedyReport;
-use rbp_core::{bounds, engine, Instance, Move, Pebbling, SinkConvention, SourceConvention, State};
+use crate::greedy::{apply, complete, ensure_slot, EvictionPolicy};
+use rbp_core::{bounds, Instance, Move, Pebbling, SinkConvention, SourceConvention, State};
 use rbp_graph::hash::FxHashMap;
 use rbp_graph::NodeId;
 
@@ -52,25 +53,20 @@ struct BeamNode {
     pending: Vec<u32>,
     computed: Vec<bool>,
     trace: Pebbling,
-    order: Vec<NodeId>,
     scaled: u128,
 }
 
-/// Runs beam search with the given width. Returns the cheapest complete
-/// schedule found (engine-validated).
-pub fn solve_beam(instance: &Instance, cfg: BeamConfig) -> Result<GreedyReport, SolveError> {
-    solve_beam_budgeted(instance, cfg, &SolveCtx::default())
-}
-
-/// Budget-aware beam search used by the [`crate::api`] layer. The budget
-/// is polled once per depth (a partial beam holds no valid pebbling, so
-/// expiry is [`SolveError::Interrupted`], not a degraded solution);
-/// "expansions" counts successor schedules generated.
+/// Builds the cheapest complete schedule the beam finds
+/// ([`crate::api::BeamSolver`] replays it into a
+/// [`crate::api::Solution`]). The budget is polled once per depth (a
+/// partial beam holds no valid pebbling, so expiry is
+/// [`SolveError::Interrupted`], not a degraded solution); "expansions"
+/// counts successor schedules generated.
 pub(crate) fn solve_beam_budgeted(
     instance: &Instance,
     cfg: BeamConfig,
     ctx: &SolveCtx,
-) -> Result<GreedyReport, SolveError> {
+) -> Result<Pebbling, SolveError> {
     cfg.validate()?;
     bounds::check_feasible(instance)?;
     let dag = instance.dag();
@@ -104,7 +100,6 @@ pub(crate) fn solve_beam_budgeted(
         pending: pending0,
         computed: computed0,
         trace: Pebbling::new(),
-        order: Vec::new(),
         scaled: 0,
     }];
 
@@ -127,13 +122,7 @@ pub(crate) fn solve_beam_budgeted(
                 if expand(instance, &mut succ, nv).is_err() {
                     continue;
                 }
-                succ.scaled = {
-                    let stats = succ.trace.stats();
-                    instance.scaled_cost(&rbp_core::Cost {
-                        transfers: stats.transfers(),
-                        computes: stats.computes,
-                    })
-                };
+                succ.scaled = instance.scaled_cost(&succ.trace.stats().cost());
                 // dedup identical configurations, keep the cheapest
                 let key: Vec<u64> = succ
                     .state
@@ -169,9 +158,8 @@ pub(crate) fn solve_beam_budgeted(
     if !initially_blue {
         for v in dag.nodes() {
             if dag.is_source(v) && dag.is_sink(v) && !best.computed[v.index()] {
-                ensure_slot(instance, &mut best.state, &best.uses, &[], &mut best.trace)?;
+                evict(instance, &mut best.state, &mut best.trace, &best.uses, &[])?;
                 apply(instance, &mut best.state, &mut best.trace, Move::Compute(v))?;
-                best.order.push(v);
             }
         }
     }
@@ -183,13 +171,31 @@ pub(crate) fn solve_beam_budgeted(
             }
         }
     }
-    let report =
-        engine::simulate(instance, &best.trace).map_err(|e| SolveError::Pebbling(e.error))?;
-    Ok(GreedyReport {
-        trace: best.trace,
-        cost: report.cost,
-        order: best.order,
-    })
+    complete(instance, &best.state)?;
+    Ok(best.trace)
+}
+
+/// Frees a red slot on a beam node's board: the greedy eviction routine
+/// under [`EvictionPolicy::MinUses`], which reads no recency or RNG state.
+fn evict(
+    instance: &Instance,
+    state: &mut State,
+    trace: &mut Pebbling,
+    uses: &[u32],
+    pinned: &[NodeId],
+) -> Result<(), SolveError> {
+    let policy = EvictionPolicy::MinUses;
+    ensure_slot(
+        instance,
+        state,
+        trace,
+        pinned,
+        uses,
+        policy,
+        &[],
+        &[],
+        &mut 0,
+    )
 }
 
 /// Computes `v` on the node's state: acquire inputs, evict as needed,
@@ -200,12 +206,12 @@ fn expand(instance: &Instance, node: &mut BeamNode, v: NodeId) -> Result<(), Sol
         if node.state.is_red(u) {
             continue;
         }
-        ensure_slot(
+        evict(
             instance,
             &mut node.state,
+            &mut node.trace,
             &node.uses,
             dag.preds(v),
-            &mut node.trace,
         )?;
         let mv = if node.state.is_blue(u) {
             Move::Load(u)
@@ -215,19 +221,17 @@ fn expand(instance: &Instance, node: &mut BeamNode, v: NodeId) -> Result<(), Sol
         apply(instance, &mut node.state, &mut node.trace, mv)?;
         if matches!(mv, Move::Compute(_)) {
             node.computed[u.index()] = true;
-            node.order.push(u);
         }
     }
-    ensure_slot(
+    evict(
         instance,
         &mut node.state,
+        &mut node.trace,
         &node.uses,
         dag.preds(v),
-        &mut node.trace,
     )?;
     apply(instance, &mut node.state, &mut node.trace, Move::Compute(v))?;
     node.computed[v.index()] = true;
-    node.order.push(v);
     for &u in dag.preds(v) {
         node.uses[u.index()] -= 1;
     }
@@ -237,69 +241,16 @@ fn expand(instance: &Instance, node: &mut BeamNode, v: NodeId) -> Result<(), Sol
     Ok(())
 }
 
-fn apply(
-    instance: &Instance,
-    state: &mut State,
-    trace: &mut Pebbling,
-    mv: Move,
-) -> Result<(), SolveError> {
-    state.apply(mv, instance).map_err(SolveError::Pebbling)?;
-    trace.push(mv);
-    Ok(())
-}
-
-fn ensure_slot(
-    instance: &Instance,
-    state: &mut State,
-    uses: &[u32],
-    pinned: &[NodeId],
-    trace: &mut Pebbling,
-) -> Result<(), SolveError> {
-    let dag = instance.dag();
-    while state.red_count() >= instance.red_limit() {
-        let is_pinned = |x: usize| pinned.iter().any(|p| p.index() == x);
-        let mut dead = None;
-        let mut sink = None;
-        let mut live: Option<(u32, usize)> = None;
-        for x in state.red_set().iter() {
-            if is_pinned(x) {
-                continue;
-            }
-            if dag.is_sink(NodeId::new(x)) {
-                sink.get_or_insert(x);
-            } else if uses[x] == 0 {
-                dead.get_or_insert(x);
-            } else if live.is_none() || (uses[x], x) < live.unwrap() {
-                live = Some((uses[x], x));
-            }
-        }
-        let (victim, free) = if let Some(x) = dead {
-            (x, instance.model().allows_delete())
-        } else if let Some(x) = sink {
-            (x, false)
-        } else if let Some((_, x)) = live {
-            (x, false)
-        } else {
-            unreachable!("eviction with everything pinned despite feasibility check")
-        };
-        let node = NodeId::new(victim);
-        let mv = if free {
-            Move::Delete(node)
-        } else {
-            Move::Store(node)
-        };
-        apply(instance, state, trace, mv)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::solve_exact;
-    use crate::greedy::solve_greedy;
-    use rbp_core::CostModel;
+    use crate::api::{BeamSolver, ExactSolver, GreedySolver, Solution, Solver};
+    use rbp_core::{engine, CostModel};
     use rbp_graph::generate;
+
+    fn run_beam(instance: &Instance, cfg: BeamConfig) -> Result<Solution, SolveError> {
+        BeamSolver { cfg }.solve_default(instance)
+    }
 
     #[test]
     fn beam_produces_valid_traces() {
@@ -307,7 +258,7 @@ mod tests {
         for _ in 0..5 {
             let dag = generate::layered(4, 4, 3, &mut rng);
             let inst = Instance::new(dag, 5, CostModel::oneshot());
-            let rep = solve_beam(&inst, BeamConfig { width: 4 }).unwrap();
+            let rep = run_beam(&inst, BeamConfig { width: 4 }).unwrap();
             assert!(engine::simulate(&inst, &rep.trace).is_ok());
         }
     }
@@ -319,10 +270,9 @@ mod tests {
             let dag = generate::gnp_dag(14, 0.3, 3, &mut rng);
             let r = dag.max_indegree() + 1;
             let inst = Instance::new(dag, r, CostModel::oneshot());
-            let eps = inst.model().epsilon();
-            let w1 = solve_beam(&inst, BeamConfig { width: 1 }).unwrap();
-            let w8 = solve_beam(&inst, BeamConfig { width: 8 }).unwrap();
-            assert!(w8.cost.scaled(eps) <= w1.cost.scaled(eps));
+            let w1 = run_beam(&inst, BeamConfig { width: 1 }).unwrap();
+            let w8 = run_beam(&inst, BeamConfig { width: 8 }).unwrap();
+            assert!(w8.scaled_cost(&inst) <= w1.scaled_cost(&inst));
         }
     }
 
@@ -333,14 +283,13 @@ mod tests {
             let dag = generate::gnp_dag(9, 0.35, 2, &mut rng);
             let r = dag.max_indegree() + 1;
             let inst = Instance::new(dag, r, CostModel::oneshot());
-            let eps = inst.model().epsilon();
-            let exact = solve_exact(&inst).unwrap();
-            let beam = solve_beam(&inst, BeamConfig { width: 16 }).unwrap();
-            let greedy = solve_greedy(&inst).unwrap();
-            assert!(exact.cost.scaled(eps) <= beam.cost.scaled(eps));
+            let exact = ExactSolver::new().solve_default(&inst).unwrap();
+            let beam = run_beam(&inst, BeamConfig { width: 16 }).unwrap();
+            let greedy = GreedySolver::new().solve_default(&inst).unwrap();
+            assert!(exact.scaled_cost(&inst) <= beam.scaled_cost(&inst));
             // the beam explores a superset of any single greedy path's
             // diversity, but eviction details differ; allow parity
-            assert!(beam.cost.scaled(eps) <= greedy.cost.scaled(eps) + 2);
+            assert!(beam.scaled_cost(&inst) <= greedy.scaled_cost(&inst) + 2);
         }
     }
 
@@ -350,7 +299,7 @@ mod tests {
         let dag = generate::layered(3, 4, 2, &mut rng);
         for kind in rbp_core::ModelKind::ALL {
             let inst = Instance::new(dag.clone(), 4, CostModel::of_kind(kind));
-            let rep = solve_beam(&inst, BeamConfig { width: 4 }).unwrap();
+            let rep = run_beam(&inst, BeamConfig { width: 4 }).unwrap();
             assert!(engine::simulate(&inst, &rep.trace).is_ok(), "{kind}");
         }
     }
@@ -363,7 +312,7 @@ mod tests {
         }
         let inst = Instance::new(b.build().unwrap(), 3, CostModel::oneshot());
         assert!(matches!(
-            solve_beam(&inst, BeamConfig::default()),
+            run_beam(&inst, BeamConfig::default()),
             Err(SolveError::Pebbling(_))
         ));
     }
@@ -372,8 +321,8 @@ mod tests {
     fn beam_handles_isolated_source_sinks() {
         let dag = rbp_graph::DagBuilder::new(3).build().unwrap(); // 3 isolated
         let inst = Instance::new(dag, 3, CostModel::oneshot());
-        let rep = solve_beam(&inst, BeamConfig::default()).unwrap();
-        assert_eq!(rep.order.len(), 3);
+        let rep = run_beam(&inst, BeamConfig::default()).unwrap();
+        assert_eq!(rep.trace.first_computations().len(), 3);
     }
 
     #[test]
@@ -383,7 +332,7 @@ mod tests {
         b.add_edge(1, 2);
         let inst = Instance::new(b.build().unwrap(), 3, CostModel::oneshot())
             .with_sink_convention(SinkConvention::RequireBlue);
-        let rep = solve_beam(&inst, BeamConfig::default()).unwrap();
+        let rep = run_beam(&inst, BeamConfig::default()).unwrap();
         // the engine's completeness check enforces the blue sink; the
         // final store is the only required transfer
         assert!(engine::simulate(&inst, &rep.trace).is_ok());

@@ -1,7 +1,7 @@
 //! Hierarchical scale-out: the DAG-coarsening solver (`coarse[:K]`).
 //!
 //! [`CoarseSolver`] splits an instance into `K` acyclic groups
-//! ([`rbp_graph::partition`]), solves each group's sub-instance
+//! ([`rbp_graph::partition()`]), solves each group's sub-instance
 //! independently with any inner registry solver, and stitches the
 //! per-group traces into one engine-validated global pebbling. Values
 //! crossing a group boundary live in slow memory between groups: the
@@ -35,11 +35,13 @@
 //!
 //! By induction over the group order, every external input is blue
 //! when its consuming group starts, so the rewritten loads are legal;
-//! [`Solution::validated`] replays the stitched trace through the
-//! engine as the final arbiter.
+//! the engine replay behind every [`Solution`] is the final arbiter.
 
-use crate::api::{upper_bound_quality, Solution, SolveCtx, Solver, Stats};
+#[cfg(doc)]
+use crate::api::Quality;
+use crate::api::{Solution, SolveCtx, Solver, Stats};
 use crate::error::SolveError;
+use crate::greedy::apply;
 use crate::registry;
 use rbp_core::bounds;
 use rbp_core::{Instance, Move, Pebbling, State};
@@ -199,18 +201,10 @@ impl Solver for CoarseSolver {
         let mut trace = Pebbling::new();
         let mut gs = State::initial(instance);
         let mut stats = Stats::new();
-        let mut cost = rbp_core::Cost::ZERO;
         let mut inner_optimal = 0u64;
         let mut rewrites = 0u64;
         let mut flush_stores = 0u64;
         let mut flush_deletes = 0u64;
-        let push = |trace: &mut Pebbling, gs: &mut State, cost: &mut rbp_core::Cost, mv: Move| {
-            let c = gs.apply(mv, instance).map_err(SolveError::Pebbling)?;
-            cost.transfers += c.transfers;
-            cost.computes += c.computes;
-            trace.push(mv);
-            Ok::<(), SolveError>(())
-        };
 
         for g in 0..part.k() {
             let sub = build_sub(instance, &part, g, &topo_pos);
@@ -226,20 +220,20 @@ impl Solver for CoarseSolver {
                         // external input under FreeCompute: its home
                         // group already computed and stored it
                         rewrites += 1;
-                        push(&mut trace, &mut gs, &mut cost, Move::Load(gv))?;
+                        apply(instance, &mut gs, &mut trace, Move::Load(gv))?;
                     }
                     Move::Delete(_) if interface => {
                         if gs.is_red(gv) {
                             rewrites += 1;
-                            push(&mut trace, &mut gs, &mut cost, Move::Store(gv))?;
+                            apply(instance, &mut gs, &mut trace, Move::Store(gv))?;
                         }
                         // deleting the blue copy is dropped entirely:
                         // later groups still need it
                     }
-                    Move::Load(_) => push(&mut trace, &mut gs, &mut cost, Move::Load(gv))?,
-                    Move::Store(_) => push(&mut trace, &mut gs, &mut cost, Move::Store(gv))?,
-                    Move::Compute(_) => push(&mut trace, &mut gs, &mut cost, Move::Compute(gv))?,
-                    Move::Delete(_) => push(&mut trace, &mut gs, &mut cost, Move::Delete(gv))?,
+                    Move::Load(_) => apply(instance, &mut gs, &mut trace, Move::Load(gv))?,
+                    Move::Store(_) => apply(instance, &mut gs, &mut trace, Move::Store(gv))?,
+                    Move::Compute(_) => apply(instance, &mut gs, &mut trace, Move::Compute(gv))?,
+                    Move::Delete(_) => apply(instance, &mut gs, &mut trace, Move::Delete(gv))?,
                 }
             }
             // flush: drain the red set so the next group starts from
@@ -249,15 +243,14 @@ impl Solver for CoarseSolver {
                 let needed = crossing[u.index()] || dag.is_sink(u);
                 if needed || nodel {
                     flush_stores += 1;
-                    push(&mut trace, &mut gs, &mut cost, Move::Store(u))?;
+                    apply(instance, &mut gs, &mut trace, Move::Store(u))?;
                 } else {
                     flush_deletes += 1;
-                    push(&mut trace, &mut gs, &mut cost, Move::Delete(u))?;
+                    apply(instance, &mut gs, &mut trace, Move::Delete(u))?;
                 }
             }
         }
 
-        let quality = upper_bound_quality(instance, cost);
         stats.set("groups", part.k() as u64);
         stats.set("max_group_size", part.max_group_size() as u64);
         stats.set("cut_edges", part.cut_size(dag) as u64);
@@ -265,7 +258,7 @@ impl Solver for CoarseSolver {
         stats.set("interface_rewrites", rewrites);
         stats.set("flush_stores", flush_stores);
         stats.set("flush_deletes", flush_deletes);
-        Solution::validated(instance, trace, quality, stats)
+        Solution::replay(instance, trace, false, stats)
     }
 }
 
@@ -296,8 +289,8 @@ mod tests {
                 let sol = CoarseSolver::with_k(4)
                     .solve_default(&inst)
                     .unwrap_or_else(|e| panic!("{kind} {src:?} {sink:?}: {e}"));
-                // Solution::validated already replayed the trace; the
-                // bracket must be honest
+                // the Solution constructor already replayed the trace;
+                // the bracket must be honest
                 if let crate::api::Quality::UpperBound { lower_bound } = sol.quality {
                     assert!(lower_bound <= sol.scaled_cost(&inst));
                 }

@@ -52,10 +52,10 @@
 //!
 //! ## Incumbent-bound pruning
 //! The search carries an *incumbent*: the cheapest known upper bound on
-//! the optimum. It starts from [`ExactConfig::upper_bound`] (callers
-//! seed it with a greedy portfolio cost — [`crate::parallel`] does this
-//! automatically) and tightens to the best goal distance discovered
-//! during the search. Any successor with `g + h` strictly above the
+//! the optimum. It starts from [`ExactConfig::upper_bound`] (every exact
+//! spec but `exact:unseeded` and `reference` seeds it with a greedy
+//! cost) and tightens to the best goal distance discovered during the
+//! search. Any successor with `g + h` strictly above the
 //! seeded bound, or at-or-above the best discovered goal, is dropped
 //! *before* it is interned: since the bound is realized by a concrete
 //! pebbling, at least one optimal path survives (`f ≤ opt ≤ bound` along
@@ -131,7 +131,9 @@ const BUDGET_POLL_INTERVAL: usize = 256;
 /// Progress reports fire every this many expansions.
 const PROGRESS_INTERVAL: usize = 8192;
 
-/// Configuration for [`solve_exact_with`].
+/// The search knobs every exact spec shares
+/// ([`crate::api::ExactSolver`], [`crate::api::ParallelExactSolver`],
+/// [`crate::mpp::ExactMppSolver`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ExactConfig {
     /// Abort with [`SolveError::StateLimitExceeded`] after interning this
@@ -196,34 +198,10 @@ impl ExactConfig {
     }
 }
 
-/// Result of an exact solve.
-#[derive(Clone, Debug)]
-pub struct ExactReport {
-    /// Exact optimal cost.
-    pub cost: Cost,
-    /// An optimal pebbling realizing that cost.
-    pub trace: Pebbling,
-    /// Number of states popped from the queue.
-    pub states_expanded: usize,
-    /// Number of distinct states interned.
-    pub states_seen: usize,
-}
-
-impl ExactReport {
-    /// Wraps a recovered trace; the cost derives from the trace itself.
-    pub(crate) fn from_trace(trace: Pebbling, states_expanded: usize, states_seen: usize) -> Self {
-        let stats = trace.stats();
-        ExactReport {
-            cost: Cost {
-                transfers: stats.transfers(),
-                computes: stats.computes,
-            },
-            trace,
-            states_expanded,
-            states_seen,
-        }
-    }
-}
+/// What an exact search hands back: the trace to a goal, and whether it
+/// is proved optimal (`false` when a budget stopped the search first and
+/// the goal is only the best one discovered).
+pub(crate) type Found = (Pebbling, bool);
 
 /// Rebuilds the trace that ends in state `goal` by walking parent
 /// pointers back to the root. `state(id)` returns a state's key and its
@@ -246,58 +224,6 @@ pub(crate) fn recover_trace<'k>(
         trace.push_on(mv, plane);
     }
     trace
-}
-
-/// Solves the instance exactly with default configuration.
-///
-/// # Example
-/// ```
-/// use rbp_core::{CostModel, Instance};
-/// use rbp_graph::generate;
-/// use rbp_solvers::exact::solve_exact;
-///
-/// // a dependency chain fits in 2 red pebbles at zero I/O cost
-/// let inst = Instance::new(generate::chain(8), 2, CostModel::oneshot());
-/// let opt = solve_exact(&inst).unwrap();
-/// assert_eq!(opt.cost.transfers, 0);
-/// // the trace is a concrete, replayable schedule
-/// assert!(rbp_core::simulate(&inst, &opt.trace).is_ok());
-/// ```
-pub fn solve_exact(instance: &Instance) -> Result<ExactReport, SolveError> {
-    solve_exact_with(instance, ExactConfig::default())
-}
-
-/// Brute-force reference: no pruning, no heuristic, no incumbent.
-/// Exponentially slower; only for cross-validating [`solve_exact`] on
-/// tiny instances.
-pub fn solve_reference(instance: &Instance) -> Result<ExactReport, SolveError> {
-    solve_exact_with(
-        instance,
-        ExactConfig {
-            max_states: 4_000_000,
-            prune: false,
-            astar: false,
-            upper_bound: None,
-        },
-    )
-}
-
-/// Solves the instance exactly with the given configuration.
-pub fn solve_exact_with(instance: &Instance, cfg: ExactConfig) -> Result<ExactReport, SolveError> {
-    // an unlimited context can never interrupt, so the outcome is
-    // always optimal (or a hard error)
-    solve_exact_budgeted(instance, cfg, &SolveCtx::default()).map(|(report, _)| report)
-}
-
-/// Budget-aware single-plane entry point ([`Search::run`] semantics).
-pub(crate) fn solve_exact_budgeted(
-    instance: &Instance,
-    cfg: ExactConfig,
-    ctx: &SolveCtx,
-) -> Result<(ExactReport, bool), SolveError> {
-    cfg.validate()?;
-    bounds::check_feasible(instance)?;
-    Search::new(instance, cfg, 1).run(ctx)
 }
 
 // ---------------------------------------------------------------------
@@ -365,14 +291,14 @@ impl<'a> Search<'a> {
         (self.expanded, self.arena.len())
     }
 
-    /// Runs the search. Returns the report plus whether it is proved
+    /// Runs the search. Returns a goal's trace plus whether it is proved
     /// optimal: `true` when the search settled a goal (or met the
-    /// structural floor), `false` when the budget expired and the report
-    /// holds the best goal *discovered* so far (a valid upper bound).
+    /// structural floor), `false` when the budget expired and the trace
+    /// reaches the best goal *discovered* so far (a valid upper bound).
     /// Expiring before any goal was discovered is
     /// [`SolveError::Interrupted`] — the api layer degrades to its greedy
     /// seed there.
-    pub(crate) fn run(&mut self, ctx: &SolveCtx) -> Result<(ExactReport, bool), SolveError> {
+    pub(crate) fn run(&mut self, ctx: &SolveCtx) -> Result<Found, SolveError> {
         let t0 = Instant::now();
         let budget_live = !ctx.budget.is_unlimited();
         // an already-exhausted budget (pre-set cancel flag, elapsed
@@ -424,7 +350,7 @@ impl<'a> Search<'a> {
             }
 
             if meta.is_goal() {
-                return Ok((self.report_for(id), true));
+                return Ok((self.trace_to(id), true));
             }
             if self.exp.is_dead(&key_buf) {
                 continue;
@@ -488,31 +414,30 @@ impl<'a> Search<'a> {
                 && u128::from(self.best_goal.0) <= self.floor
             {
                 let (_, goal) = self.best_goal;
-                return Ok((self.report_for(goal), true));
+                return Ok((self.trace_to(goal), true));
             }
         }
         Err(SolveError::NoPebblingFound)
     }
 
-    /// The report for a settled-or-discovered goal state. Called exactly
+    /// The trace to a settled-or-discovered goal state. Called exactly
     /// once per solve.
-    fn report_for(&self, goal: u32) -> ExactReport {
-        let trace = recover_trace(&self.exp, goal, |id| {
+    fn trace_to(&self, goal: u32) -> Pebbling {
+        recover_trace(&self.exp, goal, |id| {
             (self.arena.key(id), self.nodes.parent[id as usize])
-        });
-        ExactReport::from_trace(trace, self.expanded, self.arena.len())
+        })
     }
 
     /// Budget expiry: return the best goal discovered so far as a
     /// (non-optimal) incumbent, or [`SolveError::Interrupted`] when none
     /// exists yet.
-    fn interrupted(&self) -> Result<(ExactReport, bool), SolveError> {
+    fn interrupted(&self) -> Result<Found, SolveError> {
         let (g, id) = self.best_goal;
         if id == NO_STATE {
             return Err(SolveError::Interrupted);
         }
         debug_assert!(g < u64::MAX);
-        Ok((self.report_for(id), false))
+        Ok((self.trace_to(id), false))
     }
 
     fn progress(&self, t0: Instant) -> Progress {
@@ -540,19 +465,31 @@ impl<'a> Search<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{ExactSolver, Solution, Solver};
     use rbp_core::{engine, CostModel, ModelKind, SourceConvention};
     use rbp_graph::{generate, DagBuilder};
 
+    /// The unseeded search under `cfg`: its effort depends on `cfg` alone.
+    fn solve_with(instance: &Instance, cfg: ExactConfig) -> Result<Solution, SolveError> {
+        ExactSolver::with_config(cfg)
+            .unseeded()
+            .solve_default(instance)
+    }
+
+    fn solve(instance: &Instance) -> Result<Solution, SolveError> {
+        solve_with(instance, ExactConfig::default())
+    }
+
+    fn reference(instance: &Instance) -> Solution {
+        ExactSolver::reference().solve_default(instance).unwrap()
+    }
+
     fn check_optimal(instance: &Instance, expect_scaled: u64) {
-        let rep = solve_exact(instance).unwrap();
-        // reported trace must be valid and match the reported cost
-        let sim = engine::simulate(instance, &rep.trace).unwrap();
-        assert_eq!(sim.cost, rep.cost, "trace cost mismatch");
+        let sol = solve(instance).unwrap();
+        assert!(sol.is_optimal());
+        let sim = engine::simulate(instance, &sol.trace).unwrap();
         assert!(sim.peak_red <= instance.red_limit());
-        assert_eq!(
-            rep.cost.scaled(instance.model().epsilon()),
-            expect_scaled as u128
-        );
+        assert_eq!(sol.scaled_cost(instance), expect_scaled as u128);
     }
 
     #[test]
@@ -564,7 +501,7 @@ mod tests {
     #[test]
     fn chain_infeasible_with_one_pebble() {
         let inst = Instance::new(generate::chain(3), 1, CostModel::oneshot());
-        assert!(matches!(solve_exact(&inst), Err(SolveError::Pebbling(_))));
+        assert!(matches!(solve(&inst), Err(SolveError::Pebbling(_))));
     }
 
     #[test]
@@ -628,11 +565,11 @@ mod tests {
                 let dag = generate::gnp_dag(6, 0.4, 2, &mut rng);
                 let r = dag.max_indegree() + 1;
                 let inst = Instance::new(dag, r, CostModel::of_kind(kind));
-                let fast = solve_exact(&inst).unwrap();
-                let slow = solve_reference(&inst).unwrap();
+                let fast = solve(&inst).unwrap();
+                let slow = reference(&inst);
                 assert_eq!(
-                    fast.cost.scaled(inst.model().epsilon()),
-                    slow.cost.scaled(inst.model().epsilon()),
+                    fast.scaled_cost(&inst),
+                    slow.scaled_cost(&inst),
                     "prune changed optimum for {kind} on {:?}",
                     inst
                 );
@@ -646,7 +583,7 @@ mod tests {
         for _ in 0..5 {
             let dag = generate::layered(3, 3, 2, &mut rng);
             let inst = Instance::new(dag, 3, CostModel::oneshot());
-            let astar = solve_exact_with(
+            let astar = solve_with(
                 &inst,
                 ExactConfig {
                     astar: true,
@@ -654,7 +591,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let dij = solve_exact_with(
+            let dij = solve_with(
                 &inst,
                 ExactConfig {
                     astar: false,
@@ -663,7 +600,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(astar.cost, dij.cost);
-            assert!(astar.states_expanded <= dij.states_expanded + 5);
+            assert!(astar.states_expanded().unwrap() <= dij.states_expanded().unwrap() + 5);
         }
     }
 
@@ -672,7 +609,7 @@ mod tests {
         let mut rng = rand::thread_rng();
         let dag = generate::layered(4, 4, 3, &mut rng);
         let inst = Instance::new(dag, 5, CostModel::oneshot());
-        let res = solve_exact_with(
+        let res = solve_with(
             &inst,
             ExactConfig {
                 max_states: 10,
@@ -698,8 +635,7 @@ mod tests {
         let mut prev = u128::MAX;
         for r in 3..=6 {
             let inst = Instance::new(dag.clone(), r, CostModel::oneshot());
-            let rep = solve_exact(&inst).unwrap();
-            let c = rep.cost.scaled(inst.model().epsilon());
+            let c = solve(&inst).unwrap().scaled_cost(&inst);
             assert!(c <= prev, "opt must not increase with more red pebbles");
             prev = c;
         }
@@ -732,30 +668,15 @@ mod tests {
                 let r = dag.max_indegree() + 1;
                 let inst = Instance::new(dag, r, CostModel::of_kind(kind))
                     .with_sink_convention(rbp_core::SinkConvention::RequireBlue);
-                let fast = solve_exact(&inst).unwrap();
-                let slow = solve_reference(&inst).unwrap();
+                let fast = solve(&inst).unwrap();
+                let slow = reference(&inst);
                 assert_eq!(
-                    fast.cost.scaled(inst.model().epsilon()),
-                    slow.cost.scaled(inst.model().epsilon()),
+                    fast.scaled_cost(&inst),
+                    slow.scaled_cost(&inst),
                     "prune changed RequireBlue optimum for {kind} on {:?}",
                     inst
                 );
             }
-        }
-    }
-
-    #[test]
-    fn report_cost_always_derives_from_trace() {
-        // ExactReport reconstructs the trace once; its cost must equal
-        // the engine's replay of that same trace in every model
-        let mut rng = rand::thread_rng();
-        for kind in ModelKind::ALL {
-            let dag = generate::gnp_dag(6, 0.35, 2, &mut rng);
-            let r = dag.max_indegree() + 1;
-            let inst = Instance::new(dag, r, CostModel::of_kind(kind));
-            let rep = solve_exact(&inst).unwrap();
-            let sim = engine::simulate(&inst, &rep.trace).unwrap();
-            assert_eq!(sim.cost, rep.cost, "cost must derive from the trace");
         }
     }
 
@@ -769,10 +690,10 @@ mod tests {
                 let dag = generate::gnp_dag(6, 0.4, 2, &mut rng);
                 let r = dag.max_indegree() + 1;
                 let inst = Instance::new(dag, r, CostModel::of_kind(kind));
-                let plain = solve_exact(&inst).unwrap();
-                let opt = plain.cost.scaled(inst.model().epsilon()) as u64;
+                let plain = solve(&inst).unwrap();
+                let opt = plain.scaled_cost(&inst) as u64;
                 for bound in [opt, opt + 1, opt + 100] {
-                    let seeded = solve_exact_with(
+                    let seeded = solve_with(
                         &inst,
                         ExactConfig {
                             upper_bound: Some(bound),
@@ -781,13 +702,11 @@ mod tests {
                     )
                     .unwrap();
                     assert_eq!(
-                        seeded.cost.scaled(inst.model().epsilon()),
+                        seeded.scaled_cost(&inst),
                         opt as u128,
                         "incumbent bound {bound} changed the optimum ({kind})"
                     );
-                    assert!(seeded.states_seen <= plain.states_seen);
-                    let sim = engine::simulate(&inst, &seeded.trace).unwrap();
-                    assert_eq!(sim.cost, seeded.cost);
+                    assert!(seeded.states_seen() <= plain.states_seen());
                 }
             }
         }
@@ -805,9 +724,9 @@ mod tests {
             b.add_edge(2 * parent + 2, parent);
         }
         let inst = Instance::new(b.build().unwrap(), 3, CostModel::base());
-        let plain = solve_exact(&inst).unwrap();
-        let opt = plain.cost.scaled(inst.model().epsilon()) as u64;
-        let seeded = solve_exact_with(
+        let plain = solve(&inst).unwrap();
+        let opt = plain.scaled_cost(&inst) as u64;
+        let seeded = solve_with(
             &inst,
             ExactConfig {
                 upper_bound: Some(opt),
@@ -817,10 +736,10 @@ mod tests {
         .unwrap();
         assert_eq!(seeded.cost, plain.cost);
         assert!(
-            seeded.states_seen < plain.states_seen,
-            "tight bound should prune interns ({} vs {})",
-            seeded.states_seen,
-            plain.states_seen
+            seeded.states_seen() < plain.states_seen(),
+            "tight bound should prune interns ({:?} vs {:?})",
+            seeded.states_seen(),
+            plain.states_seen()
         );
     }
 }

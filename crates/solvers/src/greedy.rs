@@ -23,7 +23,7 @@
 
 use crate::error::SolveError;
 use rbp_core::{
-    bounds, engine, Cost, Instance, Move, Pebbling, SinkConvention, SourceConvention, State,
+    bounds, Instance, Move, Pebbling, PebblingError, SinkConvention, SourceConvention, State,
 };
 use rbp_graph::NodeId;
 
@@ -127,49 +127,21 @@ impl std::fmt::Display for GreedyConfig {
     }
 }
 
-/// Result of a greedy run.
-#[derive(Clone, Debug)]
-pub struct GreedyReport {
-    /// The produced (engine-validated) pebbling.
-    pub trace: Pebbling,
-    /// Its exact cost.
-    pub cost: Cost,
-    /// The order in which nodes were first computed.
-    pub order: Vec<NodeId>,
-}
-
-/// Runs the greedy solver with the default configuration
-/// (most-red-inputs + min-uses).
-///
-/// # Example
-/// ```
-/// use rbp_core::{CostModel, Instance};
-/// use rbp_solvers::greedy::solve_greedy;
-///
-/// let mut b = rbp_graph::DagBuilder::new(3);
-/// b.add_edge(0, 2);
-/// b.add_edge(1, 2);
-/// let inst = Instance::new(b.build().unwrap(), 3, CostModel::oneshot());
-/// let rep = solve_greedy(&inst).unwrap();
-/// assert_eq!(rep.cost.transfers, 0);
-/// assert_eq!(rep.order.len(), 3); // first-computation order
-/// ```
-pub fn solve_greedy(instance: &Instance) -> Result<GreedyReport, SolveError> {
-    solve_greedy_with(instance, GreedyConfig::default())
-}
-
-/// Runs the greedy solver with the given configuration. The returned
-/// trace has been validated by the engine; `cost` is the engine's number.
+/// Builds the greedy pebbling under the given configuration: every move
+/// goes through [`State::apply`], and a schedule that leaves a sink
+/// unsatisfied is an error, so the trace is complete and legal
+/// ([`crate::api::GreedySolver`] replays it once more into a
+/// [`crate::api::Solution`]).
 ///
 /// Following the paper's narrative (Section 8), the greedy rule chooses
 /// among *non-source* nodes whose non-source inputs are all computed;
 /// source inputs are computed on demand while acquiring red pebbles for
 /// the chosen node ("these greedy methods … do not specify which red
 /// pebbles to move to its inputs").
-pub fn solve_greedy_with(
+pub(crate) fn solve_greedy_with(
     instance: &Instance,
     cfg: GreedyConfig,
-) -> Result<GreedyReport, SolveError> {
+) -> Result<Pebbling, SolveError> {
     bounds::check_feasible(instance)?;
     let dag = instance.dag();
     let n = dag.n();
@@ -197,7 +169,6 @@ pub fn solve_greedy_with(
             computed[v.index()] = true;
         }
     }
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
 
     let mut ready: Vec<u32> = (0..n as u32)
         .filter(|&v| {
@@ -213,12 +184,6 @@ pub fn solve_greedy_with(
     let mut rng_state = match cfg.eviction {
         EvictionPolicy::Random(seed) => seed ^ 0x9e37_79b9_7f4a_7c15,
         _ => 0,
-    };
-
-    let apply = |state: &mut State, trace: &mut Pebbling, mv: Move| -> Result<(), SolveError> {
-        state.apply(mv, instance).map_err(SolveError::Pebbling)?;
-        trace.push(mv);
-        Ok(())
     };
 
     while !ready.is_empty() {
@@ -246,7 +211,7 @@ pub fn solve_greedy_with(
                 &mut rng_state,
             )?;
             if state.is_blue(u) {
-                apply(&mut state, &mut trace, Move::Load(u))?;
+                apply(instance, &mut state, &mut trace, Move::Load(u))?;
             } else {
                 // invariant: a computed value with uncomputed successors
                 // keeps a pebble, so an unpebbled input is an uncomputed
@@ -256,9 +221,8 @@ pub fn solve_greedy_with(
                     "input v{} lost its pebble",
                     u.index()
                 );
-                apply(&mut state, &mut trace, Move::Compute(u))?;
+                apply(instance, &mut state, &mut trace, Move::Compute(u))?;
                 computed[u.index()] = true;
-                order.push(u);
             }
             clock += 1;
             last_touch[u.index()] = clock;
@@ -277,12 +241,11 @@ pub fn solve_greedy_with(
             &placed_at,
             &mut rng_state,
         )?;
-        apply(&mut state, &mut trace, Move::Compute(v))?;
+        apply(instance, &mut state, &mut trace, Move::Compute(v))?;
         clock += 1;
         last_touch[v.index()] = clock;
         placed_at[v.index()] = clock;
         computed[v.index()] = true;
-        order.push(v);
 
         // --- bookkeeping ---
         for &u in dag.preds(v) {
@@ -312,9 +275,8 @@ pub fn solve_greedy_with(
                     &placed_at,
                     &mut rng_state,
                 )?;
-                apply(&mut state, &mut trace, Move::Compute(v))?;
+                apply(instance, &mut state, &mut trace, Move::Compute(v))?;
                 computed[v.index()] = true;
-                order.push(v);
             }
         }
     }
@@ -323,17 +285,33 @@ pub fn solve_greedy_with(
     if instance.sink_convention() == SinkConvention::RequireBlue {
         for v in dag.nodes() {
             if dag.is_sink(v) && state.is_red(v) {
-                apply(&mut state, &mut trace, Move::Store(v))?;
+                apply(instance, &mut state, &mut trace, Move::Store(v))?;
             }
         }
     }
+    complete(instance, &state)?;
+    Ok(trace)
+}
 
-    let report = engine::simulate(instance, &trace).map_err(|e| SolveError::Pebbling(e.error))?;
-    Ok(GreedyReport {
-        trace,
-        cost: report.cost,
-        order,
-    })
+/// Applies `mv` to `state` and records it on `trace`.
+pub(crate) fn apply(
+    instance: &Instance,
+    state: &mut State,
+    trace: &mut Pebbling,
+    mv: Move,
+) -> Result<(), SolveError> {
+    state.apply(mv, instance).map_err(SolveError::Pebbling)?;
+    trace.push(mv);
+    Ok(())
+}
+
+/// Rejects a finished schedule that leaves a sink unsatisfied, with the
+/// error the engine's completeness check reports.
+pub(crate) fn complete(instance: &Instance, state: &State) -> Result<(), SolveError> {
+    match state.first_unsatisfied_sink(instance) {
+        Some(sink) => Err(SolveError::Pebbling(PebblingError::Incomplete { sink })),
+        None => Ok(()),
+    }
 }
 
 /// Picks the next node to compute among `ready` under `rule`, breaking
@@ -362,9 +340,8 @@ fn select(ready: &[u32], rule: SelectionRule, dag: &rbp_graph::Dag, state: &Stat
                 }
             }
         };
-        // ties toward lower index: strictly-greater score wins; equal
-        // score keeps the earlier (lower-index follows from scan order
-        // only if ready is sorted — sort below)
+        // ready is unsorted, so ties go to the lower index explicitly: a
+        // strictly greater score wins, an equal one only from a lower index
         if score > best_score || (score == best_score && c < best) {
             best_score = score;
             best = c;
@@ -376,8 +353,12 @@ fn select(ready: &[u32], rule: SelectionRule, dag: &rbp_graph::Dag, state: &Stat
 /// Frees one red slot if the board is full: deletes a dead value if
 /// possible, otherwise stores the victim chosen by `policy`. Nodes in
 /// `pinned` (the inputs of the node being computed) are never evicted.
+/// `last_touch` and `placed_at` are read only under [`EvictionPolicy::Lru`]
+/// and [`EvictionPolicy::Fifo`], `rng_state` only under
+/// [`EvictionPolicy::Random`] (beam search evicts by
+/// [`EvictionPolicy::MinUses`] with empty slices).
 #[allow(clippy::too_many_arguments)]
-fn ensure_slot(
+pub(crate) fn ensure_slot(
     instance: &Instance,
     state: &mut State,
     trace: &mut Pebbling,
@@ -392,50 +373,54 @@ fn ensure_slot(
     while state.red_count() >= r_limit {
         let dag = instance.dag();
         let is_pinned = |v: usize| pinned.iter().any(|p| p.index() == v);
+        let is_live = |v: usize| !is_pinned(v) && !dag.is_sink(NodeId::new(v)) && uses[v] > 0;
+        let rank = |v: usize| match policy {
+            EvictionPolicy::MinUses | EvictionPolicy::Random(_) => u64::from(uses[v]),
+            EvictionPolicy::Lru => last_touch[v],
+            EvictionPolicy::Fifo => placed_at[v],
+        };
         // class 1: dead non-sink values — free deletion (store in nodel)
         let mut dead: Option<usize> = None;
         // class 2: sinks (must store, but never need a reload)
         let mut sink: Option<usize> = None;
-        // class 3: live values — policy decides
-        let mut live: Vec<usize> = Vec::new();
+        // class 3: live values — the lowest (rank, index), and how many
+        let mut live: Option<(u64, usize)> = None;
+        let mut live_count = 0u64;
         for v in state.red_set().iter() {
             if is_pinned(v) {
                 continue;
             }
-            let node = NodeId::new(v);
-            if dag.is_sink(node) {
+            if dag.is_sink(NodeId::new(v)) {
                 sink.get_or_insert(v);
             } else if uses[v] == 0 {
                 dead.get_or_insert(v);
             } else {
-                live.push(v);
+                live_count += 1;
+                if live.is_none_or(|best| (rank(v), v) < best) {
+                    live = Some((rank(v), v));
+                }
             }
         }
         let (victim, dispose) = if let Some(v) = dead {
             (v, instance.model().allows_delete())
         } else if let Some(v) = sink {
             (v, false)
-        } else if !live.is_empty() {
+        } else if let Some((_, lowest)) = live {
             let v = match policy {
-                EvictionPolicy::MinUses => *live
-                    .iter()
-                    .min_by_key(|&&v| (uses[v], v))
-                    .expect("nonempty"),
-                EvictionPolicy::Lru => *live
-                    .iter()
-                    .min_by_key(|&&v| (last_touch[v], v))
-                    .expect("nonempty"),
-                EvictionPolicy::Fifo => *live
-                    .iter()
-                    .min_by_key(|&&v| (placed_at[v], v))
-                    .expect("nonempty"),
                 EvictionPolicy::Random(_) => {
-                    // xorshift64*
+                    // xorshift64*, then the k-th live value in index order
                     *rng_state ^= *rng_state << 13;
                     *rng_state ^= *rng_state >> 7;
                     *rng_state ^= *rng_state << 17;
-                    live[(*rng_state % live.len() as u64) as usize]
+                    let k = (*rng_state % live_count) as usize;
+                    state
+                        .red_set()
+                        .iter()
+                        .filter(|&v| is_live(v))
+                        .nth(k)
+                        .expect("k < live count")
                 }
+                _ => lowest,
             };
             (v, false)
         } else {
@@ -450,8 +435,7 @@ fn ensure_slot(
         } else {
             Move::Store(node)
         };
-        state.apply(mv, instance).map_err(SolveError::Pebbling)?;
-        trace.push(mv);
+        apply(instance, state, trace, mv)?;
     }
     Ok(())
 }
@@ -459,17 +443,25 @@ fn ensure_slot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbp_core::CostModel;
-    use rbp_core::ModelKind;
+    use crate::api::{GreedySolver, Solution, Solver};
+    use rbp_core::{engine, CostModel, ModelKind};
     use rbp_graph::{generate, DagBuilder};
+
+    fn greedy(instance: &Instance, cfg: GreedyConfig) -> Result<Solution, SolveError> {
+        GreedySolver::with_config(cfg).solve_default(instance)
+    }
+
+    fn default_greedy(instance: &Instance) -> Result<Solution, SolveError> {
+        greedy(instance, GreedyConfig::default())
+    }
 
     #[test]
     fn greedy_free_when_memory_ample() {
         let dag = generate::chain(10);
         let inst = Instance::new(dag, 3, CostModel::oneshot());
-        let rep = solve_greedy(&inst).unwrap();
+        let rep = default_greedy(&inst).unwrap();
         assert_eq!(rep.cost.transfers, 0);
-        assert_eq!(rep.order.len(), 10);
+        assert_eq!(rep.trace.first_computations().len(), 10);
     }
 
     #[test]
@@ -480,7 +472,7 @@ mod tests {
             let r = dag.max_indegree() + 1;
             let inst = Instance::new(dag, r, CostModel::of_kind(kind))
                 .with_sink_convention(SinkConvention::RequireBlue);
-            let rep = solve_greedy(&inst).unwrap();
+            let rep = default_greedy(&inst).unwrap();
             // simulate's completeness check enforces every sink blue
             assert!(engine::simulate(&inst, &rep.trace).is_ok(), "model {kind}");
         }
@@ -494,7 +486,7 @@ mod tests {
                 let dag = generate::gnp_dag(15, 0.3, 3, &mut rng);
                 let r = dag.max_indegree() + 1;
                 let inst = Instance::new(dag, r, CostModel::of_kind(kind));
-                let rep = solve_greedy(&inst).unwrap();
+                let rep = default_greedy(&inst).unwrap();
                 // cost is already engine-validated inside; re-check peak
                 let sim = engine::simulate(&inst, &rep.trace).unwrap();
                 assert!(sim.peak_red <= inst.red_limit(), "model {kind}");
@@ -514,7 +506,7 @@ mod tests {
                 EvictionPolicy::Fifo,
                 EvictionPolicy::Random(7),
             ] {
-                let rep = solve_greedy_with(&inst, GreedyConfig { rule, eviction }).unwrap();
+                let rep = greedy(&inst, GreedyConfig { rule, eviction }).unwrap();
                 assert!(engine::simulate(&inst, &rep.trace).is_ok());
             }
         }
@@ -527,7 +519,7 @@ mod tests {
             let dag = generate::gnp_dag(20, 0.25, 3, &mut rng);
             let r = dag.max_indegree() + 1;
             let inst = Instance::new(dag, r, CostModel::oneshot());
-            let rep = solve_greedy(&inst).unwrap();
+            let rep = default_greedy(&inst).unwrap();
             let ub = rbp_core::bounds::universal_upper_bound(&inst);
             assert!(rep.cost.transfers <= ub.transfers);
         }
@@ -539,8 +531,11 @@ mod tests {
         let mut rng = rand::thread_rng();
         let dag = generate::layered(3, 3, 2, &mut rng);
         let inst = Instance::new(dag, 4, CostModel::oneshot());
-        let rep = solve_greedy(&inst).unwrap();
-        assert!(rbp_graph::is_topological_order(inst.dag(), &rep.order));
+        let rep = default_greedy(&inst).unwrap();
+        assert!(rbp_graph::is_topological_order(
+            inst.dag(),
+            &rep.trace.first_computations()
+        ));
     }
 
     #[test]
@@ -550,7 +545,10 @@ mod tests {
             b.add_edge(i, 3);
         }
         let inst = Instance::new(b.build().unwrap(), 2, CostModel::oneshot());
-        assert!(matches!(solve_greedy(&inst), Err(SolveError::Pebbling(_))));
+        assert!(matches!(
+            default_greedy(&inst),
+            Err(SolveError::Pebbling(_))
+        ));
     }
 
     #[test]
@@ -563,7 +561,7 @@ mod tests {
         b.add_edge(3, 5);
         b.add_edge(4, 5);
         let inst = Instance::new(b.build().unwrap(), 3, CostModel::oneshot());
-        let rep = solve_greedy_with(
+        let rep = greedy(
             &inst,
             GreedyConfig {
                 rule: SelectionRule::MostRedInputs,
@@ -573,7 +571,8 @@ mod tests {
         .unwrap();
         // source 0, 1 computed first (ready, ties to low index), then node
         // 2 (two red inputs) must precede sources 3, 4
-        let pos = |v: usize| rep.order.iter().position(|x| x.index() == v).unwrap();
+        let order = rep.trace.first_computations();
+        let pos = |v: usize| order.iter().position(|x| x.index() == v).unwrap();
         assert!(pos(2) < pos(3));
         assert!(pos(2) < pos(4));
         // one transfer is forced: when sink 5 is computed the other sink 2
@@ -586,10 +585,14 @@ mod tests {
         let dag = generate::chain(4);
         let inst = Instance::new(dag, 2, CostModel::oneshot())
             .with_source_convention(SourceConvention::InitiallyBlue);
-        let rep = solve_greedy(&inst).unwrap();
+        let rep = default_greedy(&inst).unwrap();
         // the source must be loaded once: cost 1
         assert_eq!(rep.cost.transfers, 1);
-        assert_eq!(rep.order.len(), 3, "source not recomputed");
+        assert_eq!(
+            rep.trace.first_computations().len(),
+            3,
+            "source not recomputed"
+        );
     }
 
     #[test]
@@ -601,8 +604,8 @@ mod tests {
             rule: SelectionRule::MostRedInputs,
             eviction: EvictionPolicy::Random(99),
         };
-        let a = solve_greedy_with(&inst, cfg).unwrap();
-        let b = solve_greedy_with(&inst, cfg).unwrap();
+        let a = greedy(&inst, cfg).unwrap();
+        let b = greedy(&inst, cfg).unwrap();
         assert_eq!(a.trace.moves(), b.trace.moves());
     }
 }

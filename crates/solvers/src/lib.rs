@@ -34,9 +34,9 @@
 //! [`api::Solution`] carries the engine-validated trace, its exact
 //! cost, a [`api::Quality`] provenance tag (`Optimal` /
 //! `UpperBound { lower_bound }` / `Infeasible`), and structured
-//! [`api::Stats`] — one shape replacing the old per-solver
-//! `ExactReport`/`GreedyReport`/`OrderResult` zoo (those remain as the
-//! internal carrier types). Solutions serialize over the wire through
+//! [`api::Stats`] — the one result shape: every solver answers through
+//! [`api::Solver::solve`], and its trace is replayed once, when the
+//! `Solution` is built. Solutions serialize over the wire through
 //! [`wire`], the solution half of the versioned instance/solution text
 //! format the `rbp-service` batch server speaks.
 //!
@@ -60,7 +60,7 @@
 //! - [`beam`]: beam search over first-computation orderings;
 //! - [`portfolio`]: parallel best-of-greedy (also the incumbent seed);
 //! - [`coarse`]: hierarchical scale-out — partition the DAG into K
-//!   acyclic groups ([`rbp_graph::partition`]), solve each with any
+//!   acyclic groups ([`rbp_graph::partition()`]), solve each with any
 //!   inner registry spec, stitch the traces through blue interface
 //!   values, and report a fractional-lower-bound bracket
 //!   (`coarse[:K[/INNER]]`);
@@ -73,7 +73,8 @@
 //! Every solver returns a concrete [`rbp_core::Pebbling`] trace whose
 //! cost is produced by the validating engine — [`api::Solution`] replays
 //! the trace before returning it, so a solver can never report a cost
-//! its trace does not realize.
+//! its trace does not realize, and a heuristic's `UpperBound` bracket
+//! comes from that replay.
 
 pub mod api;
 pub mod arena;
@@ -100,11 +101,10 @@ pub use arena::{global_id, split_id, NodeTable, StateArena, NO_STATE};
 pub use beam::BeamConfig;
 pub use coarse::{CoarseConfig, CoarseSolver};
 pub use error::SolveError;
-pub use exact::{ExactConfig, ExactReport};
+pub use exact::ExactConfig;
 pub use expand::{Expander, Meta};
-pub use greedy::{EvictionPolicy, GreedyConfig, GreedyReport, SelectionRule};
-pub use mpp::{solve_greedy_mpp, ExactMppSolver, GreedyMppSolver, MppGreedyReport};
-pub use parallel::ParallelConfig;
+pub use greedy::{EvictionPolicy, GreedyConfig, SelectionRule};
+pub use mpp::{ExactMppSolver, GreedyMppSolver};
 pub use portfolio::default_portfolio;
 pub use registry::Registry;
 pub use sweep::{check_tradeoff_laws, sweep_r, sweep_r_serial, sweep_r_with, SweepPoint};

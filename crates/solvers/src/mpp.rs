@@ -18,24 +18,24 @@
 //!   the smaller-blue state is dominated at equal cost); the A*
 //!   heuristic and the other oneshot prunes reason about a single red
 //!   set and stay off. At `p = 1` the search *is* the classic one, prunes
-//!   and heuristic included. The incumbent seed is [`solve_greedy_mpp`]
-//!   at `p > 1` and the classic cost-staged greedy at `p = 1`.
-//! - [`solve_greedy_mpp`]: a topological list scheduler. Each
-//!   non-source node is assigned to the processor holding most of its
-//!   inputs red (ties: least accumulated weighted work, then lowest
-//!   index); inputs travel through shared memory (store + load) when
-//!   they live on another processor; eviction stores the victim with
-//!   the fewest uncomputed successors (sinks preferred stored, dead
-//!   values deleted where the model allows).
+//!   and heuristic included. The incumbent seed is the list scheduler
+//!   below at `p > 1` and the classic cost-staged greedy at `p = 1`.
+//! - [`GreedyMppSolver`] (`greedy@mpp[:P]`): a topological list
+//!   scheduler. Each non-source node is assigned to the processor
+//!   holding most of its inputs red (ties: least accumulated weighted
+//!   work, then lowest index); inputs travel through shared memory
+//!   (store + load) when they live on another processor; eviction stores
+//!   the victim with the fewest uncomputed successors (sinks preferred
+//!   stored, dead values deleted where the model allows).
 //!
 //! Both are exposed through the registry as `exact@mpp[:P]` and
 //! `greedy@mpp[:P]`, where the optional `P` overrides the instance's
 //! own processor count ([`Instance::with_procs`]).
 
-use crate::api::{run_exact_family, upper_bound_quality, Solution, SolveCtx, Solver, Stats};
+use crate::api::{run_exact_family, Solution, SolveCtx, Solver, Stats};
 use crate::error::SolveError;
 use crate::exact::ExactConfig;
-use rbp_core::{bounds, engine, mpp, Cost, Instance, Move, Pebbling, SourceConvention};
+use rbp_core::{bounds, mpp, Instance, Move, Pebbling, PebblingError, SourceConvention};
 use rbp_graph::NodeId;
 use std::cmp::Reverse;
 
@@ -44,18 +44,12 @@ use std::cmp::Reverse;
 type ApplyMove<'a> = dyn FnMut(&mut mpp::MppState, &mut Pebbling, &mut [u128], Move, usize) -> Result<(), SolveError>
     + 'a;
 
-/// Result of a greedy multiprocessor run.
-#[derive(Clone, Debug)]
-pub struct MppGreedyReport {
-    /// The produced processor-tagged pebbling (engine-validated).
-    pub trace: Pebbling,
-    /// Its exact global cost.
-    pub cost: Cost,
-}
-
 /// Greedy multiprocessor list scheduling: nodes in topological order,
 /// each assigned to the processor already holding most of its inputs.
-pub fn solve_greedy_mpp(instance: &Instance) -> Result<MppGreedyReport, SolveError> {
+/// Every move goes through [`mpp::MppState::apply`], and a schedule that
+/// leaves a sink unsatisfied is an error, so the processor-tagged trace
+/// is complete and legal.
+pub(crate) fn solve_greedy_mpp(instance: &Instance) -> Result<Pebbling, SolveError> {
     bounds::check_feasible(instance)?;
     let dag = instance.dag();
     let n = dag.n();
@@ -218,11 +212,10 @@ pub fn solve_greedy_mpp(instance: &Instance) -> Result<MppGreedyReport, SolveErr
         }
     }
 
-    let rep = engine::simulate(instance, &trace).map_err(|e| SolveError::Pebbling(e.error))?;
-    Ok(MppGreedyReport {
-        trace,
-        cost: rep.cost,
-    })
+    if let Some(sink) = state.first_unsatisfied_sink(instance) {
+        return Err(SolveError::Pebbling(PebblingError::Incomplete { sink }));
+    }
+    Ok(trace)
 }
 
 // ---------------------------------------------------------------------
@@ -311,11 +304,10 @@ impl Solver for GreedyMppSolver {
 
     fn solve(&self, instance: &Instance, _ctx: &SolveCtx) -> Result<Solution, SolveError> {
         let inst = with_procs_override(instance, self.procs);
-        let rep = solve_greedy_mpp(&inst)?;
+        let trace = solve_greedy_mpp(&inst)?;
         let mut stats = Stats::new();
-        add_mpp_stats(&inst, &rep.trace, &mut stats);
-        let quality = upper_bound_quality(&inst, rep.cost);
-        Solution::validated(&inst, rep.trace, quality, stats)
+        add_mpp_stats(&inst, &trace, &mut stats);
+        Solution::replay(&inst, trace, false, stats)
     }
 }
 
@@ -344,8 +336,8 @@ fn add_mpp_stats(instance: &Instance, trace: &Pebbling, stats: &mut Stats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::solve_exact;
-    use rbp_core::{CostModel, ModelKind, MppDim, Ratio, SinkConvention};
+    use crate::api::ExactSolver;
+    use rbp_core::{engine, CostModel, ModelKind, MppDim, Ratio, SinkConvention};
     use rbp_graph::{generate, DagBuilder};
 
     /// The proved `exact@mpp` optimum of `inst` at its own `p`.
@@ -363,7 +355,7 @@ mod tests {
                 let dag = generate::gnp_dag(5, 0.4, 2, &mut rng);
                 let r = dag.max_indegree() + 1;
                 let inst = Instance::new(dag, r, CostModel::of_kind(kind));
-                let classic = solve_exact(&inst).unwrap();
+                let classic = ExactSolver::new().solve_default(&inst).unwrap();
                 let mpp1 = proved_mpp_optimum(&inst.with_procs(1));
                 assert_eq!(
                     inst.scaled_cost(&mpp1.cost),
@@ -494,10 +486,10 @@ mod tests {
             let dag = generate::gnp_dag(5, 0.4, 2, &mut rng);
             let r = dag.max_indegree() + 1;
             let inst = Instance::new(dag, r, CostModel::of_kind(kind)).with_procs(2);
-            let greedy = solve_greedy_mpp(&inst).unwrap();
+            let greedy = GreedyMppSolver::new().solve_default(&inst).unwrap();
             let exact = proved_mpp_optimum(&inst);
             assert!(
-                inst.scaled_cost(&exact.cost) <= inst.scaled_cost(&greedy.cost),
+                exact.scaled_cost(&inst) <= greedy.scaled_cost(&inst),
                 "greedy beat exact under {kind}"
             );
             // the greedy trace is valid under conventions too
@@ -505,8 +497,8 @@ mod tests {
                 .with_source_convention(SourceConvention::InitiallyBlue)
                 .with_sink_convention(SinkConvention::RequireBlue)
                 .with_procs(2);
-            let rep = solve_greedy_mpp(&conv).unwrap();
-            assert!(engine::simulate(&conv, &rep.trace).is_ok(), "{kind}");
+            let trace = solve_greedy_mpp(&conv).unwrap();
+            assert!(engine::simulate(&conv, &trace).is_ok(), "{kind}");
         }
     }
 
@@ -523,8 +515,8 @@ mod tests {
             comm: Ratio::new(1, 1),
             comp: Ratio::new(1, 1),
         });
-        let rep = solve_greedy_mpp(&inst).unwrap();
-        let sim = mpp::simulate_mpp(&inst, &rep.trace).unwrap();
+        let trace = solve_greedy_mpp(&inst).unwrap();
+        let sim = mpp::simulate_mpp(&inst, &trace).unwrap();
         assert!(
             sim.per_proc.iter().all(|c| c.computes == 2),
             "work not spread: {:?}",

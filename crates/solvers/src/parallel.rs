@@ -12,10 +12,9 @@
 //! relaxed, settled, and re-opened only by its owner.
 //!
 //! ## Incumbent bound
-//! Before the search starts, a greedy portfolio
-//! ([`crate::portfolio::solve_portfolio`]) produces a valid pebbling
-//! whose scaled cost seeds the *incumbent* — the best known upper bound
-//! on the optimum. During the search the incumbent tightens to the
+//! Before the search starts, a greedy portfolio produces a valid
+//! pebbling whose scaled cost seeds the *incumbent* — the best known
+//! upper bound on the optimum. During the search the incumbent tightens to the
 //! cheapest goal configuration discovered so far (a lock-protected
 //! `(cost, global id)` pair with an atomic mirror for hot-path reads).
 //! Every worker drops successors with `g + h` at-or-beyond the incumbent
@@ -55,11 +54,9 @@
 use crate::api::{Progress, SolveCtx};
 use crate::arena::{global_id, split_id, NodeTable, StateArena, NO_STATE};
 use crate::error::SolveError;
-use crate::exact::{recover_trace, solve_exact_budgeted, ExactConfig, ExactReport};
+use crate::exact::{recover_trace, ExactConfig, Found};
 use crate::expand::{Expander, Meta};
-use crate::greedy::GreedyReport;
-use crate::portfolio::{default_portfolio, solve_portfolio};
-use rbp_core::{bounds, Instance, Move};
+use rbp_core::{Instance, Move};
 use rbp_graph::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -76,138 +73,6 @@ const CHANNEL_BATCHES: usize = 256;
 /// States popped per scheduling quantum before a worker re-checks its
 /// channel and flushes its outgoing batches.
 const POP_CHUNK: usize = 64;
-
-/// Configuration for [`solve_exact_parallel_with`].
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelConfig {
-    /// Worker-thread count (≥ 1). The default resolves
-    /// `available_parallelism` at construction; an explicit `0` is a
-    /// [`SolveError::BadConfig`], not a silent fallback.
-    pub threads: usize,
-    /// The shared search knobs ([`ExactConfig`]); `max_states` bounds the
-    /// *total* interned states across all shards, and `upper_bound`
-    /// seeds the incumbent in addition to (and combined with) the greedy
-    /// seed below.
-    pub exact: ExactConfig,
-    /// Seed the incumbent from a greedy-portfolio upper bound before
-    /// searching (ignored when `exact.prune` is off, mirroring the
-    /// sequential solver's brute-force reference mode).
-    pub seed_incumbent: bool,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-            exact: ExactConfig::default(),
-            seed_incumbent: true,
-        }
-    }
-}
-
-impl ParallelConfig {
-    /// Rejects degenerate values ([`SolveError::BadConfig`]). Run by
-    /// every [`crate::api::Solver`] entry point before solving.
-    pub fn validate(&self) -> Result<(), SolveError> {
-        if self.threads == 0 {
-            return Err(SolveError::BadConfig {
-                reason: "ParallelConfig::threads must be >= 1 (the default resolves \
-                         available_parallelism; an explicit 0 is rejected rather than silently \
-                         remapped)"
-                    .into(),
-            });
-        }
-        self.exact.validate()
-    }
-}
-
-/// Solves the instance exactly on all available cores. Returns the same
-/// optimal scaled cost as [`crate::exact::solve_exact`] (traces may
-/// differ; both replay through the engine).
-pub fn solve_exact_parallel(instance: &Instance) -> Result<ExactReport, SolveError> {
-    solve_exact_parallel_with(instance, ParallelConfig::default())
-}
-
-/// Solves the instance exactly with the given parallel configuration.
-pub fn solve_exact_parallel_with(
-    instance: &Instance,
-    cfg: ParallelConfig,
-) -> Result<ExactReport, SolveError> {
-    cfg.validate()?;
-    bounds::check_feasible(instance)?;
-    let mut exact = cfg.exact;
-    if cfg.seed_incumbent && exact.prune {
-        if let Some(rep) = greedy_incumbent(instance) {
-            exact.seed_with(instance, &rep.cost);
-        }
-    }
-    // an unlimited context never interrupts, so the outcome is optimal
-    let ctx = SolveCtx::default();
-    if cfg.threads == 1 {
-        // the sharded machinery only pays for itself with real
-        // parallelism; one thread runs the sequential solver, still
-        // seeded with the incumbent bound
-        return solve_exact_budgeted(instance, exact, &ctx).map(|(report, _)| report);
-    }
-    hda_star(instance, exact, cfg.threads, &ctx).map(|(report, _)| report)
-}
-
-/// Budget-aware entry point used by the [`crate::api`] layer; seeding is
-/// the api layer's job (it keeps the greedy trace as the degradation
-/// fallback). Semantics mirror
-/// [`solve_exact_budgeted`](crate::exact::solve_exact_budgeted).
-pub(crate) fn solve_parallel_budgeted(
-    instance: &Instance,
-    exact: ExactConfig,
-    threads: usize,
-    ctx: &SolveCtx,
-) -> Result<(ExactReport, bool), SolveError> {
-    exact.validate()?;
-    bounds::check_feasible(instance)?;
-    if threads == 1 {
-        return solve_exact_budgeted(instance, exact, ctx);
-    }
-    hda_star(instance, exact, threads, ctx)
-}
-
-/// Best-of-greedy incumbent — the cheapest single-processor report —
-/// used to seed the exact searches and as the fallback a budget-expired
-/// solve degrades to. `None` when every greedy configuration fails (the
-/// search then starts unbounded).
-///
-/// Cost-staged: the single default greedy runs first, and the full
-/// portfolio only when that bound could still improve — i.e. when it
-/// sits above the instance's provable floor
-/// ([`bounds::best_lower_bound`]). On instances whose default greedy
-/// is already optimal (chains, most zero-cost cells) seeding costs one
-/// microsecond-scale greedy solve instead of nine, which keeps the
-/// seeded sequential path competitive even on solves that finish in
-/// tens of microseconds.
-pub(crate) fn greedy_incumbent(instance: &Instance) -> Option<GreedyReport> {
-    let scaled = |rep: &GreedyReport| instance.scaled_cost(&rep.cost);
-    let floor = instance.scaled_cost(&bounds::best_lower_bound(instance));
-    let first = crate::greedy::solve_greedy(instance).ok();
-    if first.as_ref().is_some_and(|rep| scaled(rep) <= floor) {
-        return first;
-    }
-    // escalation re-runs the other eight configurations only — the
-    // default one already produced `first`
-    let rest: Vec<_> = default_portfolio()
-        .into_iter()
-        .filter(|c| *c != crate::greedy::GreedyConfig::default())
-        .collect();
-    let best = if rest.is_empty() {
-        None
-    } else {
-        solve_portfolio(instance, &rest).ok().map(|(_, rep)| rep)
-    };
-    match (first, best) {
-        (Some(a), Some(b)) => Some(if scaled(&a) <= scaled(&b) { a } else { b }),
-        (a, b) => a.or(b),
-    }
-}
 
 // ---------------------------------------------------------------------
 // implementation
@@ -256,9 +121,8 @@ struct Shared {
     /// pruning is off).
     ub_cutoff: u64,
     /// Whether incumbent pruning is live. When off (the brute-force
-    /// reference mode) the search stays exhaustive like
-    /// [`crate::exact::solve_reference`]: goals are still *recorded* for
-    /// the answer, but never prune.
+    /// reference mode) the search stays exhaustive like the `reference`
+    /// spec: goals are still *recorded* for the answer, but never prune.
     prune: bool,
     /// Batches sent / received, for quiescence detection.
     sent: AtomicU64,
@@ -663,15 +527,17 @@ impl<'a, 's> Worker<'a, 's> {
     }
 }
 
-/// The sharded search proper (`threads ≥ 2`). The `bool` is `true` when
-/// the returned report is proved optimal, `false` when the budget
-/// stopped the search and the report is the incumbent found so far.
-fn hda_star(
+/// The sharded search proper (`threads ≥ 2`; callers validate the
+/// config and check feasibility first). Returns a goal's trace, whether
+/// it is proved optimal — `false` when the budget stopped the search and
+/// the trace reaches the incumbent found so far — and the `(states
+/// expanded, states seen)` counters summed over the shards.
+pub(crate) fn hda_star(
     instance: &Instance,
     exact: ExactConfig,
     threads: usize,
     ctx: &SolveCtx,
-) -> Result<(ExactReport, bool), SolveError> {
+) -> Result<(Found, (usize, usize)), SolveError> {
     let probe = Expander::new(instance, 1, exact.prune, exact.astar);
     let key_words = probe.key_words();
     let init = probe.initial_key();
@@ -783,41 +649,44 @@ fn hda_star(
         let (arena, nodes, _) = &shards[shard as usize];
         (arena.key(local), nodes.parent[local as usize])
     });
-    let report = ExactReport::from_trace(
-        trace,
+    debug_assert_eq!(instance.scaled_cost(&trace.stats().cost()), best_g as u128);
+    let counters = (
         shards.iter().map(|s| s.2).sum(),
         shards.iter().map(|s| s.0.len()).sum(),
     );
-    debug_assert_eq!(instance.scaled_cost(&report.cost), best_g as u128);
-    Ok((report, !stopped))
+    Ok(((trace, !stopped), counters))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::exact::solve_exact;
-    use rbp_core::{engine, CostModel, ModelKind};
+    use crate::api::{ExactSolver, ParallelExactSolver, Solver};
+    use crate::error::SolveError;
+    use crate::exact::ExactConfig;
+    use rbp_core::{engine, CostModel, Instance, ModelKind};
     use rbp_graph::{generate, DagBuilder};
 
     fn assert_equiv(inst: &Instance, threads: usize) {
-        let seq = solve_exact(inst).unwrap();
-        let par = solve_exact_parallel_with(
-            inst,
-            ParallelConfig {
-                threads,
-                ..ParallelConfig::default()
-            },
-        )
-        .unwrap();
-        let eps = inst.model().epsilon();
+        let seq = ExactSolver::new().unseeded().solve_default(inst).unwrap();
+        let par = ParallelExactSolver::with_threads(threads)
+            .solve_default(inst)
+            .unwrap();
         assert_eq!(
-            par.cost.scaled(eps),
-            seq.cost.scaled(eps),
+            par.scaled_cost(inst),
+            seq.scaled_cost(inst),
             "optimum diverged at {threads} threads on {inst:?}"
         );
+        assert!(par.is_optimal());
         let sim = engine::simulate(inst, &par.trace).unwrap();
-        assert_eq!(sim.cost, par.cost, "parallel trace must replay exactly");
         assert!(sim.peak_red <= inst.red_limit());
+    }
+
+    /// The sharded search without the greedy seed, so the search alone
+    /// decides the outcome.
+    fn unseeded(threads: usize, cfg: ExactConfig) -> ParallelExactSolver {
+        ParallelExactSolver {
+            threads,
+            exact: ExactSolver::with_config(cfg).unseeded(),
+        }
     }
 
     #[test]
@@ -852,35 +721,25 @@ mod tests {
     #[test]
     fn single_thread_takes_the_sequential_path() {
         let inst = Instance::new(generate::chain(8), 2, CostModel::oneshot());
-        let rep = solve_exact_parallel_with(
-            &inst,
-            ParallelConfig {
-                threads: 1,
-                ..ParallelConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(rep.cost.transfers, 0);
+        let sol = ParallelExactSolver::with_threads(1)
+            .solve_default(&inst)
+            .unwrap();
+        assert_eq!(sol.cost.transfers, 0);
+        assert_eq!(sol.stats.get("threads"), Some(1));
     }
 
     #[test]
     fn default_config_resolves_host_parallelism() {
         let inst = Instance::new(generate::chain(6), 2, CostModel::base());
-        assert!(ParallelConfig::default().threads >= 1);
-        let rep = solve_exact_parallel(&inst).unwrap();
-        assert_eq!(rep.cost.scaled(inst.model().epsilon()), 0);
+        assert!(ParallelExactSolver::default().threads >= 1);
+        let sol = ParallelExactSolver::new().solve_default(&inst).unwrap();
+        assert_eq!(sol.scaled_cost(&inst), 0);
     }
 
     #[test]
     fn zero_threads_is_a_structured_config_error() {
         let inst = Instance::new(generate::chain(6), 2, CostModel::base());
-        let res = solve_exact_parallel_with(
-            &inst,
-            ParallelConfig {
-                threads: 0,
-                ..ParallelConfig::default()
-            },
-        );
+        let res = ParallelExactSolver::with_threads(0).solve_default(&inst);
         assert!(matches!(res, Err(SolveError::BadConfig { .. })));
     }
 
@@ -902,13 +761,7 @@ mod tests {
     fn infeasible_instances_error_like_sequential() {
         let inst = Instance::new(generate::chain(3), 1, CostModel::oneshot());
         assert!(matches!(
-            solve_exact_parallel_with(
-                &inst,
-                ParallelConfig {
-                    threads: 2,
-                    ..ParallelConfig::default()
-                }
-            ),
+            ParallelExactSolver::with_threads(2).solve_default(&inst),
             Err(SolveError::Pebbling(_))
         ));
     }
@@ -918,19 +771,13 @@ mod tests {
         let mut rng = rand::thread_rng();
         let dag = generate::layered(4, 4, 3, &mut rng);
         let inst = Instance::new(dag, 5, CostModel::oneshot());
-        let res = solve_exact_parallel_with(
-            &inst,
-            ParallelConfig {
-                threads: 2,
-                exact: ExactConfig {
-                    max_states: 10,
-                    ..ExactConfig::default()
-                },
-                // a greedy seed could legitimately shrink the search
-                // below the limit; keep the test deterministic
-                seed_incumbent: false,
-            },
-        );
+        // unseeded: a greedy seed could legitimately shrink the search
+        // below the limit, and would be the fallback
+        let cfg = ExactConfig {
+            max_states: 10,
+            ..ExactConfig::default()
+        };
+        let res = unseeded(2, cfg).solve_default(&inst);
         assert_eq!(
             res.unwrap_err(),
             SolveError::StateLimitExceeded { limit: 10 }
@@ -948,21 +795,13 @@ mod tests {
         b.add_edge(1, 4);
         b.add_edge(2, 4);
         let inst = Instance::new(b.build().unwrap(), 3, CostModel::oneshot());
-        let reference = crate::exact::solve_reference(&inst).unwrap();
-        let par = solve_exact_parallel_with(
-            &inst,
-            ParallelConfig {
-                threads: 3,
-                exact: ExactConfig {
-                    prune: false,
-                    astar: false,
-                    ..ExactConfig::default()
-                },
-                seed_incumbent: false,
-            },
-        )
-        .unwrap();
-        let eps = inst.model().epsilon();
-        assert_eq!(par.cost.scaled(eps), reference.cost.scaled(eps));
+        let reference = ExactSolver::reference().solve_default(&inst).unwrap();
+        let cfg = ExactConfig {
+            prune: false,
+            astar: false,
+            ..ExactConfig::default()
+        };
+        let par = unseeded(3, cfg).solve_default(&inst).unwrap();
+        assert_eq!(par.scaled_cost(&inst), reference.scaled_cost(&inst));
     }
 }

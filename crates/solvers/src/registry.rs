@@ -69,7 +69,6 @@ use crate::coarse::{CoarseConfig, CoarseSolver};
 use crate::error::SolveError;
 use crate::greedy::{EvictionPolicy, GreedyConfig, SelectionRule};
 use crate::mpp::{ExactMppSolver, GreedyMppSolver};
-use crate::parallel::ParallelConfig;
 use rbp_core::Instance;
 
 /// A factory turning optional spec arguments (the part after `:`) into
@@ -119,19 +118,13 @@ impl Registry {
             "exact-parallel",
             "hash-sharded parallel exact; arg = thread count (default: all cores)",
             |a| {
-                let cfg = match a {
-                    None => ParallelConfig::default(),
-                    Some(n) => {
-                        let threads: usize = n.parse().map_err(|_| {
-                            bad_args("exact-parallel", n, "thread count must be an integer")
-                        })?;
-                        ParallelConfig {
-                            threads,
-                            ..ParallelConfig::default()
-                        }
-                    }
+                let solver = match a {
+                    None => ParallelExactSolver::new(),
+                    Some(n) => ParallelExactSolver::with_threads(n.parse().map_err(|_| {
+                        bad_args("exact-parallel", n, "thread count must be an integer")
+                    })?),
                 };
-                Ok(Box::new(ParallelExactSolver { cfg }))
+                Ok(Box::new(solver))
             },
         );
         r.register(

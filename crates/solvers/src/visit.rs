@@ -393,11 +393,7 @@ pub fn best_order_from(
     let mut state = initial.clone();
     let mut trace = Pebbling::new();
     grouped.emit_onto(instance, &order, &mut state, &mut trace)?;
-    let stats = trace.stats();
-    let cost = Cost {
-        transfers: stats.transfers(),
-        computes: stats.computes,
-    };
+    let cost = trace.stats().cost();
     Ok(OrderResult {
         scaled: instance.scaled_cost(&cost),
         cost,
@@ -481,27 +477,14 @@ pub fn held_karp(
     Some((best, order))
 }
 
-impl OrderResult {
-    /// Collapses the visit-order result into the unified
-    /// [`Solution`](crate::api::Solution)
-    /// shape: the trace is engine-validated and tagged as an upper bound
-    /// (optimal only among grouped schedules, which the
-    /// [`Quality::Optimal`](crate::api::Quality::Optimal) upgrade
-    /// detects when the cost meets the structural lower bound). The
-    /// group order is retained in the trace; node-level order is
-    /// recoverable via
-    /// [`Solution::computation_order`](crate::api::Solution::computation_order).
-    pub fn into_solution(self, instance: &Instance) -> Result<crate::api::Solution, SolveError> {
-        let quality = crate::api::upper_bound_quality(instance, self.cost);
-        crate::api::Solution::validated(instance, self.trace, quality, crate::api::Stats::new())
-    }
-}
-
 /// A [`GroupedDag`]'s branch-and-bound visit-order search behind the
 /// [`Solver`](crate::api::Solver) trait: the grouped structure is fixed
 /// at construction, so any instance over the same DAG solves through the
-/// one unified interface. The budget is ignored (the search is
-/// exponential only in the *group* count, which the paper's
+/// one unified interface. The answer is an upper bound (optimal only
+/// among grouped schedules, unless its cost meets the structural lower
+/// bound); node-level order is recoverable via
+/// [`Pebbling::first_computations`]. The budget is ignored (the search
+/// is exponential only in the *group* count, which the paper's
 /// constructions keep ≤ ~10).
 pub struct VisitOrderSolver {
     grouped: GroupedDag,
@@ -530,15 +513,16 @@ impl crate::api::Solver for VisitOrderSolver {
         _ctx: &crate::api::SolveCtx,
     ) -> Result<crate::api::Solution, SolveError> {
         let res = best_order(&self.grouped, instance)?;
-        let mut sol = res.into_solution(instance)?;
-        sol.stats.set("groups", self.grouped.len() as u64);
-        Ok(sol)
+        let mut stats = crate::api::Stats::new();
+        stats.set("groups", self.grouped.len() as u64);
+        crate::api::Solution::replay(instance, res.trace, false, stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{ExactSolver, Solver};
     use rbp_core::CostModel;
     use rbp_graph::DagBuilder;
 
@@ -596,10 +580,10 @@ mod tests {
         let best = best_order(&grouped, &inst).unwrap();
         // cross-check against the unrestricted exact solver: visit-order
         // pebblings are optimal on input-group DAGs (paper, Sections 6–8)
-        let exact = crate::exact::solve_exact(&inst).unwrap();
+        let exact = ExactSolver::new().solve_default(&inst).unwrap();
         assert_eq!(
             best.scaled,
-            exact.cost.scaled(inst.model().epsilon()),
+            exact.scaled_cost(&inst),
             "visit-order optimum diverges from true optimum"
         );
     }

@@ -29,7 +29,7 @@ fn main() {
         .solve_default(&inst)
         .expect("feasible");
         // verify the trap actually sprang
-        let visits = g.decode_visits(&rep.computation_order());
+        let visits = g.decode_visits(&rep.trace.first_computations());
         assert_eq!(visits, g.greedy_order(), "greedy escaped the misguidance");
 
         let opt_trace = g
