@@ -12,8 +12,8 @@
 //! `fig4`, `fig5`, `fig67`, `fig8`, `workloads`, `ablation`).
 //!
 //! The extra `perf-snapshot` id (not part of `all`) records exact-solver
-//! hot-path baselines — sequential-with-incumbent and hash-sharded
-//! parallel — to `BENCH_exact.json` at the workspace root, and
+//! hot-path baselines of the incumbent-seeded `exact` spec to
+//! `BENCH_exact.json` at the workspace root, and
 //! `perf-check` diffs a fresh measurement against that committed
 //! baseline — see [`perf_snapshot`]. Likewise `gap-atlas` records the
 //! worst observed heuristic/optimal ratios per (model, spec) to

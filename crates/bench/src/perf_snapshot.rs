@@ -11,19 +11,18 @@
 //! artifact and runs [`check`] (`perf-check`) to annotate throughput
 //! regressions against the committed baseline.
 //!
-//! Every row records the **registry spec** that produced it
-//! (`"exact"` — the sequential path with the greedy incumbent seed —
-//! and `"exact-parallel:4"` — the hash-sharded search). Diffs are keyed
-//! by `(workload, model, spec)`, so adding a solver to the matrix is
+//! Every row records the **registry spec** that produced it (`"exact"`,
+//! the search with the greedy incumbent seed). Diffs are keyed by
+//! `(workload, model, spec)`, so adding a solver to the matrix is
 //! one more spec string, not a schema change — which is exactly how the
 //! multiprocessor rows ride along: [`mpp_cells`] adds `chain-mpp` and
 //! `pyramid-mpp` cells measured under `exact@mpp:1` / `exact@mpp:2` /
 //! `greedy@mpp:2`, with the `exact@mpp:1` optimum pinned equal to the
 //! classic `exact` optimum on the same instance.
 //!
-//! The same instance matrix backs the `bench_exact_hotpath` and
-//! `bench_exact_parallel` criterion targets, so interactive `cargo
-//! bench` numbers and the recorded JSON stay comparable. Four extra
+//! The same instance matrix backs the `bench_exact_hotpath` criterion
+//! target, so interactive `cargo bench` numbers and the recorded JSON
+//! stay comparable. Four extra
 //! rows ([`measure_service`]) record the batch-solve service's
 //! round-trip latency on a cache miss, a cache hit, a structured
 //! overload shed (`service-shed`), and a crash-recovery snapshot
@@ -47,9 +46,8 @@ use std::time::Instant;
 pub const SCHEMA: &str = "rbp-perf-exact/v3";
 
 /// The registry specs every cell is measured under: the
-/// incumbent-seeded sequential path and the hash-sharded parallel
-/// search.
-pub const SNAPSHOT_SPECS: [&str; 2] = ["exact", "exact-parallel:4"];
+/// incumbent-seeded exact search.
+pub const SNAPSHOT_SPECS: [&str; 1] = ["exact"];
 
 /// The registry specs the multiprocessor rows ([`mpp_cells`]) are
 /// measured under. `exact@mpp:1` doubles as a continuously-pinned
@@ -57,10 +55,6 @@ pub const SNAPSHOT_SPECS: [&str; 2] = ["exact", "exact-parallel:4"];
 /// `exact` optimum on the same instance (at `p = 1` it runs the classic
 /// search), which `mpp_rows_pin_the_single_processor_optimum` asserts.
 pub const MPP_SNAPSHOT_SPECS: [&str; 3] = ["exact@mpp:1", "exact@mpp:2", "greedy@mpp:2"];
-
-/// The thread count behind the parallel snapshot spec (also used by the
-/// `bench_exact_parallel` criterion target).
-pub const PARALLEL_THREADS: usize = 4;
 
 /// The registry spec the scale-out cells ([`coarse_cells`]) are
 /// measured under: hierarchical coarsening with the default
@@ -231,8 +225,8 @@ pub struct CellResult {
     pub r: usize,
     /// The registry spec that produced this row.
     pub spec: String,
-    /// Worker threads the solve ran with (derived from the solver's
-    /// stats; 1 = sequential + incumbent).
+    /// The solver's `threads` stat (1 for every exact spec; 1 when the
+    /// solver reports none), kept as a column of the v3 schema.
     pub threads: usize,
     /// Median wall time of one solve, nanoseconds.
     pub median_ns: u128,
@@ -265,9 +259,8 @@ pub fn measure_cases(cases: &[PerfCase], samples: usize, specs: &[&str]) -> Vec<
                     .expect("perf cells are feasible");
                 runs.push((t0.elapsed().as_nanos(), sol));
             }
-            // the stats must come from the SAME run as the median time:
-            // the sharded search's states_seen varies run to run, and
-            // mixing runs would skew states_per_sec by that variance
+            // the stats must come from the SAME run as the median time,
+            // so states_per_sec divides one run's states by its own time
             runs.sort_unstable_by_key(|(ns, _)| *ns);
             let (median_ns, sol) = &runs[runs.len() / 2];
             let median_ns = (*median_ns).max(1);
@@ -801,8 +794,9 @@ pub fn check(dir: &Path) -> usize {
     };
     // throughput is only comparable within a host class: a baseline
     // recorded on a different core count (say a 1-core container vs a
-    // 4-vCPU runner) puts every parallel row off by the hardware delta,
-    // drowning real regressions in false "ok (500%)" readings. Cost and
+    // 4-vCPU runner) puts every pool-using row (the portfolio seed, the
+    // service rows) off by the hardware delta, drowning real regressions
+    // in false "ok (500%)" readings. Cost and
     // coverage are still checked; throughput diffs are skipped.
     let here = std::thread::available_parallelism().map_or(0, |p| p.get());
     let recorded = parsed_host_parallelism(&committed).unwrap_or(0);
@@ -984,7 +978,7 @@ mod tests {
     fn snapshot_roundtrips_through_the_parser() {
         let dir = std::env::temp_dir().join(format!("rbp_perf_parse_test_{}", std::process::id()));
         // tiny subset, two specs, to exercise the spec column
-        let results = measure_cases(&cells()[..2], 1, &["exact", "exact-parallel:2"]);
+        let results = measure_cases(&cells()[..2], 1, &["exact", "exact:unseeded"]);
         let path = write_json(&results, &dir).unwrap();
         let parsed =
             parse_snapshot(&std::fs::read_to_string(path).unwrap()).expect("own output must parse");

@@ -5,8 +5,8 @@
 //! optimum, including the larger incumbent-tractable ones.
 //!
 //! Release-only: without `--release` the per-intern debug rescans put
-//! the dense cells at minutes each (same policy as the matmul cells of
-//! `parallel_equivalence.rs`).
+//! the dense cells at minutes each (same policy as the exact rows on the
+//! matmul cells of `solution_golden.rs`).
 
 #![cfg(not(debug_assertions))]
 

@@ -5,23 +5,24 @@
 //! leave every document byte-identical, counters included.
 //!
 //! The digests live in `solution_golden.txt`, one `instance spec digest`
-//! line each. `exact-parallel:2` is pinned on its scaled cost and
-//! quality only: its trace, counters and transfer/compute split follow
-//! thread timing.
+//! line each. `exact-parallel:2`, an alias of `exact`, is pinned on its
+//! scaled cost and quality only: its rows were recorded when it named a
+//! thread-timed parallel search.
 //!
 //! Some rows only run optimized (`cargo test --release`): the exact
 //! specs on the matmul cells (about 10^6 states each, with a full
 //! metadata rescan per intern in debug builds), `exact@mpp:2` on the
 //! classic perf cells (the two-plane search takes 10–30 s per grid or
-//! fft cell unoptimized) and the scale-out cells. `exact@mpp:2` never
-//! runs on the matmul cells, where it takes 10–30 s even optimized. A
-//! failing test prints its recomputed lines in the table's format.
+//! fft cell unoptimized), the scale-out cells and the large layered
+//! draws. `exact@mpp:2` never runs on the matmul cells, where it takes
+//! 10–30 s even optimized. A failing test prints its recomputed lines
+//! in the table's format.
 
 use rbp_bench::perf_snapshot;
 use rbp_core::{Instance, ModelKind, SinkConvention, SourceConvention};
 use rbp_graph::hash::FxHasher;
 use rbp_solvers::{registry, wire};
-use rbp_workloads::ensemble::{self, EnsembleConfig};
+use rbp_workloads::ensemble::{self, EnsembleConfig, LargeConfig};
 use std::collections::HashMap;
 use std::hash::Hasher;
 
@@ -58,6 +59,10 @@ const PARALLEL: &str = "exact-parallel:2";
 /// Seeds of the classic and the multiprocessor ensemble draws.
 const ENSEMBLE_SEED: u64 = 14;
 const MPP_ENSEMBLE_SEED: u64 = 1414;
+/// Seed of the large layered draws, which only the heuristic specs
+/// (every spec of [`SPECS`] that is neither exact nor multiprocessor)
+/// answer.
+const LARGE_SEED: u64 = 1616;
 
 fn golden() -> HashMap<(String, String), u64> {
     include_str!("solution_golden.txt")
@@ -209,6 +214,27 @@ fn scale_out_cells_match_the_golden_table() {
     for (label, inst) in &cells {
         for spec in COARSE_SPECS {
             rows.push((label.clone(), inst, spec));
+        }
+    }
+    check(&rows);
+}
+
+#[test]
+fn large_layered_draws_match_the_golden_table() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let cfg = LargeConfig::default();
+    let draws: Vec<(String, Instance)> = (0..8)
+        .map(|i| ensemble::large_layered_at(LARGE_SEED, i, &cfg))
+        .map(|g| (format!("ens/{}", g.name), g.instance))
+        .collect();
+    let mut rows = Vec::new();
+    for (label, inst) in &draws {
+        for spec in SPECS {
+            if !is_exact(spec) && !spec.contains('@') {
+                rows.push((label.clone(), inst, spec));
+            }
         }
     }
     check(&rows);

@@ -695,9 +695,11 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         return;
     }
 
-    let key = req.instance.canonical_key();
-    if req.options.use_cache {
-        if let Some(entry) = shared.cache.lookup(&key, req.options.accept) {
+    // keyed only when the cache is on: `cache=off` requests never pay
+    // for the canonical key
+    let key = req.options.use_cache.then(|| req.instance.canonical_key());
+    if let Some(key) = &key {
+        if let Some(entry) = shared.cache.lookup(key, req.options.accept) {
             let _ = events.send(Event::CacheHit {
                 id: id.clone(),
                 spec: entry.spec.clone(),
@@ -773,7 +775,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 // report the cancellation and keep it out of the cache
                 Event::Cancelled { id }
             } else {
-                if req.options.use_cache {
+                if let Some(key) = key {
                     let scaled = solution.scaled_cost(&req.instance);
                     shared
                         .cache

@@ -8,25 +8,32 @@
 //! This module gives all of that one calling convention:
 //!
 //! - [`Solver`]: `solve(&self, &Instance, &SolveCtx) -> Result<Solution,
-//!   SolveError>`, implemented by [`ExactSolver`],
-//!   [`ParallelExactSolver`], [`GreedySolver`], [`BeamSolver`],
-//!   [`PortfolioSolver`], and [`crate::visit::VisitOrderSolver`];
+//!   SolveError>`, implemented by [`ExactSolver`], [`GreedySolver`],
+//!   [`BeamSolver`], [`PortfolioSolver`], the multiprocessor and
+//!   coarsening solvers, and [`crate::visit::VisitOrderSolver`];
 //! - [`Solution`]: the engine-validated [`Pebbling`] trace, its exact
 //!   [`Cost`], a [`Quality`] provenance tag, and per-solver [`Stats`];
 //! - [`SolveCtx`]: a [`Budget`] (wall-clock deadline, expansion cap,
-//!   cooperative cancellation flag — checked inside the exact, parallel,
-//!   and beam hot loops) plus an optional [`Progress`] observer.
+//!   cooperative cancellation flag — checked inside the exact and beam
+//!   hot loops) plus an optional [`Progress`] observer.
 //!
-//! String specs (`"exact"`, `"exact-parallel:4"`, `"beam:256"`, …) map
-//! to boxed solvers through [`crate::registry`].
+//! String specs (`"exact"`, `"exact@mpp:2"`, `"beam:256"`, …) map to
+//! boxed solvers through [`crate::registry`].
+//!
+//! Every search runs on the calling thread; only the greedy portfolio
+//! (the `portfolio` spec, and the exact solvers' incumbent seed when it
+//! escalates) races its members on the shared [`crate::pool`]. A host
+//! spends its cores on independent solves instead: the service runs one
+//! request per worker, and [`crate::sweep`] solves its R-values on the
+//! pool.
 //!
 //! ## Graceful degradation
 //! When a budget expires mid-search, the exact solvers do **not** error:
 //! they return the best incumbent known at that point — the cheapest
 //! goal configuration discovered, or failing that the greedy seed — as
 //! [`Quality::UpperBound`] with a `lower_bound` from
-//! [`bounds::best_lower_bound`]. A sequential search that falls back to
-//! its seed still reports its `states_expanded`/`states_seen` counters.
+//! [`bounds::best_lower_bound`]. A search that falls back to its seed
+//! still reports its `states_expanded`/`states_seen` counters.
 //! Only a budgeted solve that holds no incumbent at all (seeding
 //! disabled, no goal reached) reports [`SolveError::Interrupted`]. The
 //! same degradation covers the [`ExactConfig::max_states`] memory guard
@@ -44,7 +51,6 @@ use crate::error::SolveError;
 use crate::exact::{ExactConfig, Search};
 use crate::greedy::{solve_greedy_with, GreedyConfig};
 use crate::mpp::solve_greedy_mpp;
-use crate::parallel::hda_star;
 use crate::portfolio::{default_portfolio, greedy_incumbent, solve_portfolio};
 use rbp_core::{bounds, engine, Cost, Instance, Pebbling};
 use std::collections::BTreeMap;
@@ -60,9 +66,9 @@ use std::time::{Duration, Instant};
 /// Resource limits for one solve. All limits are optional and combine
 /// with "whichever trips first"; the default is unlimited.
 ///
-/// The exact/parallel/beam hot loops poll the budget once per scheduling
-/// quantum (a few hundred expansions), so expiry is honored within
-/// microseconds-to-milliseconds, not per state.
+/// The exact and beam hot loops poll the budget once per scheduling
+/// quantum (a few hundred expansions, or one beam depth), so expiry is
+/// honored within microseconds-to-milliseconds, not per state.
 #[derive(Clone, Debug, Default)]
 pub struct Budget {
     deadline: Option<Instant>,
@@ -142,11 +148,8 @@ impl Budget {
     }
 }
 
-/// A progress snapshot delivered to the [`SolveCtx`] observer.
-///
-/// Sequential solvers report their own counters; the parallel solver
-/// reports the cross-shard aggregate for `states_expanded` and the
-/// reporting shard's local `frontier`.
+/// A progress snapshot delivered to the [`SolveCtx`] observer by the
+/// exact search.
 #[derive(Clone, Copy, Debug)]
 pub struct Progress {
     /// Wall-clock time since the search started.
@@ -155,14 +158,15 @@ pub struct Progress {
     pub states_expanded: u64,
     /// Expansion throughput since the start.
     pub states_per_sec: u64,
-    /// Open states queued in the (reporting shard's) frontier.
+    /// Open states queued in the search frontier.
     pub frontier: usize,
     /// Best known upper bound on the optimal scaled cost, if any.
     pub incumbent: Option<u64>,
 }
 
-/// A progress observer: called from inside the solve (possibly from a
-/// worker thread), so it must be `Sync` and should be cheap.
+/// A progress observer: called from inside the solve (possibly on a
+/// worker thread of the host, such as a service worker or a sweep point),
+/// so it must be `Sync` and should be cheap.
 pub type ProgressFn<'a> = dyn Fn(&Progress) + Sync + 'a;
 
 /// Per-solve context: the [`Budget`] plus an optional progress observer.
@@ -380,7 +384,7 @@ pub trait Solver: Send + Sync {
     fn name(&self) -> &str;
 
     /// The full registry spec this solver answers to, arguments
-    /// included (`"greedy:most-red-inputs/lru"`, `"exact-parallel:4"`).
+    /// included (`"greedy:most-red-inputs/lru"`, `"exact@mpp:2"`).
     /// The string round-trips: feeding it back through
     /// [`crate::registry::solver`] yields an equivalently configured
     /// solver, so services and stats reports can record *exactly* which
@@ -413,11 +417,11 @@ pub trait Solver: Send + Sync {
     /// [`SolveError::Panicked`] instead of killing the calling thread.
     ///
     /// Unwind safety: every solver in this crate keeps its search state
-    /// (arena, node tables, heaps, routing channels) local to the solve
-    /// call, so an unwound solve cannot leave broken state visible to a
-    /// later call — the `AssertUnwindSafe` below asserts exactly that
-    /// per-job locality. Long-running hosts (the service worker pool)
-    /// use this entry point so one poisoned job cannot strand a worker.
+    /// (arena, node tables, heaps) local to the solve call, so an unwound
+    /// solve cannot leave broken state visible to a later call — the
+    /// `AssertUnwindSafe` below asserts exactly that per-job locality.
+    /// Long-running hosts (the service worker pool) use this entry point
+    /// so one poisoned job cannot strand a worker.
     fn solve_caught(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         match catch_unwind(AssertUnwindSafe(|| self.solve_lenient(instance, ctx))) {
@@ -442,12 +446,14 @@ pub fn panic_payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String
 }
 
 // ---------------------------------------------------------------------
-// exact (sequential)
+// exact
 // ---------------------------------------------------------------------
 
-/// The sequential exact solver ([`crate::exact`]) behind the [`Solver`]
-/// trait: optimal pebbling via Dijkstra/A*, seeded with a greedy
-/// incumbent by default, budget-aware with graceful degradation.
+/// The exact solver ([`crate::exact`]) behind the [`Solver`] trait:
+/// optimal pebbling via Dijkstra/A*, seeded with a greedy incumbent by
+/// default, budget-aware with graceful degradation. The registry builds
+/// it for `exact`, `exact:unseeded`, `reference` and the `exact-parallel`
+/// alias.
 #[derive(Clone, Copy, Debug)]
 pub struct ExactSolver {
     /// The search knobs.
@@ -509,13 +515,11 @@ impl ExactSolver {
 /// degrade. `planes` is the number of red planes searched — 1 for the
 /// classic game, the processor count for `exact@mpp` — and the answer is
 /// [`Quality::Optimal`] only when the search covered every processor
-/// (`planes == instance.procs()`). `threads > 1` runs the sharded search,
-/// which covers one plane.
+/// (`planes == instance.procs()`).
 pub(crate) fn run_exact_family(
     instance: &Instance,
     mut cfg: ExactConfig,
     planes: usize,
-    threads: usize,
     seed_incumbent: bool,
     ctx: &SolveCtx,
 ) -> Result<Solution, SolveError> {
@@ -532,17 +536,8 @@ pub(crate) fn run_exact_family(
     if let Some(trace) = &seed {
         cfg.seed_with(instance, &trace.stats().cost());
     }
-    let (searched, counters) = if threads == 1 {
-        let mut search = Search::new(instance, cfg, planes);
-        let searched = search.run(ctx);
-        (searched, Some(search.counters()))
-    } else {
-        debug_assert_eq!(planes, 1, "the sharded search covers one plane");
-        match hda_star(instance, cfg, threads, ctx) {
-            Ok((found, counters)) => (Ok(found), Some(counters)),
-            Err(e) => (Err(e), None),
-        }
-    };
+    let mut search = Search::new(instance, cfg, planes);
+    let searched = search.run(ctx);
     let (trace, optimal) = match (searched, seed) {
         (Ok(found), _) => found,
         // budget expired (or the memory guard tripped) before any goal
@@ -554,11 +549,10 @@ pub(crate) fn run_exact_family(
         }
         (Err(e), _) => return Err(e),
     };
+    let (expanded, seen) = search.counters();
     let mut stats = Stats::new();
-    if let Some((expanded, seen)) = counters {
-        stats.set("states_expanded", expanded as u64);
-        stats.set("states_seen", seen as u64);
-    }
+    stats.set("states_expanded", expanded as u64);
+    stats.set("states_seen", seen as u64);
     if !optimal {
         stats.set("degraded", 1);
     }
@@ -590,81 +584,8 @@ impl Solver for ExactSolver {
     }
 
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        let mut sol = run_exact_family(instance, self.cfg, 1, 1, self.seed_incumbent, ctx)?;
+        let mut sol = run_exact_family(instance, self.cfg, 1, self.seed_incumbent, ctx)?;
         sol.stats.set("threads", 1);
-        Ok(sol)
-    }
-}
-
-// ---------------------------------------------------------------------
-// exact (parallel)
-// ---------------------------------------------------------------------
-
-/// The hash-sharded parallel exact solver ([`crate::parallel`]) behind
-/// the [`Solver`] trait. `threads == 1` routes to the sequential path
-/// (still incumbent-seeded); the budget is polled once per worker
-/// quantum, so cancellation stops the search within one batch quantum.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelExactSolver {
-    /// Worker-thread count (≥ 1). The default resolves
-    /// `available_parallelism`; an explicit `0` is a
-    /// [`SolveError::BadConfig`], not a silent fallback.
-    pub threads: usize,
-    /// The search knobs and seeding policy, shared with the sequential
-    /// solver. `max_states` bounds the *total* interned states across
-    /// all shards.
-    pub exact: ExactSolver,
-}
-
-impl Default for ParallelExactSolver {
-    fn default() -> Self {
-        ParallelExactSolver::with_threads(
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-        )
-    }
-}
-
-impl ParallelExactSolver {
-    /// All available cores, default search knobs.
-    pub fn new() -> Self {
-        ParallelExactSolver::default()
-    }
-
-    /// A fixed thread count (must be ≥ 1; validated at solve time).
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelExactSolver {
-            threads,
-            exact: ExactSolver::new(),
-        }
-    }
-}
-
-impl Solver for ParallelExactSolver {
-    fn name(&self) -> &str {
-        "exact-parallel"
-    }
-
-    fn spec(&self) -> String {
-        format!("exact-parallel:{}", self.threads)
-    }
-
-    fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        if self.threads == 0 {
-            return Err(SolveError::BadConfig {
-                reason: "ParallelExactSolver::threads must be >= 1 (the default resolves \
-                         available_parallelism; an explicit 0 is rejected rather than silently \
-                         remapped)"
-                    .into(),
-            });
-        }
-        let ExactSolver {
-            cfg,
-            seed_incumbent,
-        } = self.exact;
-        let mut sol = run_exact_family(instance, cfg, 1, self.threads, seed_incumbent, ctx)?;
-        sol.stats.set("threads", self.threads as u64);
         Ok(sol)
     }
 }

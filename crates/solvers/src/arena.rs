@@ -25,29 +25,6 @@ use rbp_graph::NodeId;
 /// parent in [`NodeTable`].
 pub const NO_STATE: u32 = u32::MAX;
 
-/// Composes a shard-local state id into the global id namespace used for
-/// cross-shard parent pointers: shards interleave (`global = local ·
-/// shards + shard`), so every shard's ids stay dense in the shared `u32`
-/// space and no per-shard capacity has to be reserved up front. The
-/// sequential solver is the 1-shard special case (`global == local`).
-///
-/// Panics if the composition would collide with [`NO_STATE`] or overflow
-/// (≈ `u32::MAX / shards` states per shard — far beyond memory, and the
-/// solvers' `max_states` guard trips long before).
-#[inline]
-pub fn global_id(shard: u32, local: u32, shards: u32) -> u32 {
-    debug_assert!(shard < shards);
-    let id = (local as u64) * (shards as u64) + shard as u64;
-    assert!(id < NO_STATE as u64, "sharded state id space exhausted");
-    id as u32
-}
-
-/// Inverse of [`global_id`]: recovers `(shard, local)` from a global id.
-#[inline]
-pub fn split_id(global: u32, shards: u32) -> (u32, u32) {
-    (global % shards, global / shards)
-}
-
 /// A flat intern table for fixed-width `u64` keys.
 ///
 /// Capacity is bounded at `u32::MAX - 1` states (the probe table stores
@@ -86,20 +63,6 @@ impl StateArena {
     #[inline]
     pub fn key_words(&self) -> usize {
         self.key_words
-    }
-
-    /// The shard that owns `key` in a `shards`-way partition of the state
-    /// space: the parallel solver routes every successor to its owner so
-    /// each state is interned by exactly one thread.
-    ///
-    /// Routing reuses the [`hash_words`] digest that the intern table
-    /// probes with, but folds in the *upper* half of the hash — the probe
-    /// table masks the low bits, so shard choice and slot choice stay
-    /// independent and the per-shard tables do not alias.
-    #[inline]
-    pub fn shard_of(key: &[u64], shards: usize) -> usize {
-        debug_assert!(shards > 0);
-        ((hash_words(key) >> 32) as usize) % shards
     }
 
     /// Number of interned states.
@@ -302,49 +265,5 @@ mod tests {
     #[should_panic(expected = "at least one word")]
     fn zero_width_keys_rejected() {
         let _ = StateArena::new(0);
-    }
-
-    #[test]
-    fn global_ids_roundtrip_and_interleave() {
-        for shards in 1u32..=5 {
-            let mut seen = std::collections::HashSet::new();
-            for local in 0..100u32 {
-                for shard in 0..shards {
-                    let g = global_id(shard, local, shards);
-                    assert_eq!(split_id(g, shards), (shard, local));
-                    assert!(seen.insert(g), "global ids must not collide");
-                    assert_ne!(g, NO_STATE);
-                }
-            }
-        }
-        // the 1-shard namespace is the identity (sequential solver)
-        assert_eq!(global_id(0, 42, 1), 42);
-    }
-
-    #[test]
-    #[should_panic(expected = "id space exhausted")]
-    fn global_id_never_aliases_no_state() {
-        // u32::MAX would decompose as (shard 3, local …) in a 4-shard
-        // namespace; composing it must trap instead of aliasing NO_STATE
-        let (shard, local) = split_id(u32::MAX, 4);
-        let _ = global_id(shard, local, 4);
-    }
-
-    #[test]
-    fn sharding_partitions_and_balances() {
-        // every key routes to exactly one shard, deterministically, and
-        // no shard is starved on a spread of keys
-        let shards = 4;
-        let mut counts = vec![0usize; shards];
-        for k in 0..4096u64 {
-            let key = [k.wrapping_mul(0x9e37_79b9_7f4a_7c15), k];
-            let s = StateArena::shard_of(&key, shards);
-            assert_eq!(s, StateArena::shard_of(&key, shards), "routing unstable");
-            assert!(s < shards);
-            counts[s] += 1;
-        }
-        for (s, &c) in counts.iter().enumerate() {
-            assert!(c > 4096 / shards / 4, "shard {s} starved: {counts:?}");
-        }
     }
 }

@@ -22,8 +22,8 @@ pub enum SolveError {
         /// Index (into the group list) of the group whose visit failed.
         group: usize,
     },
-    /// A solver configuration holds a degenerate value (zero threads,
-    /// zero beam width, zero state budget, …). Raised by the `validate()`
+    /// A solver configuration holds a degenerate value (zero beam width,
+    /// zero state budget, an empty portfolio, …). Raised by the `validate()`
     /// path every [`crate::api::Solver`] entry point runs before solving.
     BadConfig {
         /// What is wrong with the configuration.

@@ -7,12 +7,12 @@
 //! `instance v2` document sets weights). Dijkstra over this graph yields
 //! the optimal pebbling cost and, via parent pointers, an optimal trace.
 //!
-//! This is the one exact search of the crate. `exact`, `exact:unseeded`,
-//! `exact-parallel` and `reference` search one red plane — the classic
-//! single-processor game. `exact@mpp[:P]` searches one plane per
-//! processor ([`crate::mpp`]); there only prune rule 1 below and the
-//! incumbent cutoff apply (see [`crate::expand`] for the layout and the
-//! rule set by plane count).
+//! This is the one exact search of the crate. `exact` (and its alias
+//! `exact-parallel[:N]`), `exact:unseeded` and `reference` search one red
+//! plane — the classic single-processor game. `exact@mpp[:P]` searches
+//! one plane per processor ([`crate::mpp`]); there only prune rule 1
+//! below and the incumbent cutoff apply (see [`crate::expand`] for the
+//! layout and the rule set by plane count).
 //!
 //! ## State keys per model
 //! - **base / compcost / nodel**: `(red, blue)`. The computed set does not
@@ -24,21 +24,16 @@
 //! At `p` planes `red` is `p` consecutive red sets, one per processor.
 //!
 //! ## Hot-path layout
-//! The expand loop allocates nothing. All machinery is flat, and the move
-//! generation itself lives in the shared [`Expander`] so the sequential
-//! and parallel solvers explore one and the same configuration graph:
+//! The expand loop allocates nothing. All machinery is flat:
 //!
-//! - **Shared move generator** ([`Expander`]): guards, prunes, and the
-//!   incremental ±delta metadata ([`Meta`]) are defined once; this solver
-//!   plugs an intern-and-relax sink into [`Expander::expand`], the
-//!   parallel solver ([`crate::parallel`]) plugs a shard router.
+//! - **Move generator** ([`Expander`]): guards, prunes, and the
+//!   incremental ±delta metadata ([`Meta`]) are defined once, for every
+//!   plane count; this search plugs an intern-and-relax sink into
+//!   [`Expander::expand`].
 //! - **Arena interning** ([`StateArena`]): every key lives contiguously in
 //!   one `Vec<u64>`; a linear-probe table of `u32` ids (hashed from arena
 //!   slices) replaces the old `HashMap<Box<[u64]>, u32>`. A hit is a hash
-//!   probe plus one slice compare; a miss appends `key_words` words. The
-//!   same `hash_words` digest doubles as the shard router of the parallel
-//!   solver ([`StateArena::shard_of`]), so a state's owner is a pure
-//!   function of its key.
+//!   probe plus one slice compare; a miss appends `key_words` words.
 //! - **Struct-of-arrays bookkeeping** ([`NodeTable`]): `dist`, `parent`,
 //!   `settled` and the incremental metadata are parallel arrays indexed
 //!   by state id.
@@ -62,10 +57,7 @@
 //! it), so the optimum is unchanged while the arena, heap, and probe
 //! table stay smaller. On positive-cost frontiers (e.g. the base model's
 //! grid cell) this skips the large shell of states strictly beyond the
-//! optimum that plain Dijkstra would intern but never expand. The same
-//! cutoff is what makes the parallel solver's termination test sound:
-//! "every shard quiescent with local `f`-min at-or-above the incumbent"
-//! certifies optimality.
+//! optimum that plain Dijkstra would intern but never expand.
 //!
 //! ## Incremental-delta invariants
 //! Three state functions are threaded through expansion as ±deltas and
@@ -116,7 +108,7 @@ use crate::api::{Progress, SolveCtx};
 use crate::arena::{NodeTable, StateArena, NO_STATE};
 use crate::error::SolveError;
 use crate::expand::{Expander, Meta};
-use rbp_core::{bounds, Cost, Instance, Move, Pebbling};
+use rbp_core::{bounds, Cost, Instance, Pebbling};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -132,8 +124,7 @@ const BUDGET_POLL_INTERVAL: usize = 256;
 const PROGRESS_INTERVAL: usize = 8192;
 
 /// The search knobs every exact spec shares
-/// ([`crate::api::ExactSolver`], [`crate::api::ParallelExactSolver`],
-/// [`crate::mpp::ExactMppSolver`]).
+/// ([`crate::api::ExactSolver`], [`crate::mpp::ExactMppSolver`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ExactConfig {
     /// Abort with [`SolveError::StateLimitExceeded`] after interning this
@@ -187,8 +178,7 @@ impl ExactConfig {
     /// states with `f == bound` must survive because the bound may be
     /// exactly optimal — and `u64::MAX` (no cutoff) when no bound is set
     /// or pruning is off (the brute-force reference mode must stay
-    /// exhaustive). Both exact solvers derive their cutoff from this one
-    /// definition so an exactly-tight seed prunes identically in each.
+    /// exhaustive).
     #[inline]
     pub fn seed_cutoff(&self) -> u64 {
         match self.upper_bound {
@@ -202,29 +192,6 @@ impl ExactConfig {
 /// is proved optimal (`false` when a budget stopped the search first and
 /// the goal is only the best one discovered).
 pub(crate) type Found = (Pebbling, bool);
-
-/// Rebuilds the trace that ends in state `goal` by walking parent
-/// pointers back to the root. `state(id)` returns a state's key and its
-/// `(parent id, move)`; each move is tagged with the plane it acted on
-/// ([`Expander::plane_of`]), so one-plane traces stay untagged.
-pub(crate) fn recover_trace<'k>(
-    exp: &Expander,
-    goal: u32,
-    state: impl Fn(u32) -> (&'k [u64], (u32, Move)),
-) -> Pebbling {
-    let mut steps = Vec::new();
-    let (mut key, (mut prev, mut mv)) = state(goal);
-    while prev != NO_STATE {
-        let (prev_key, prev_parent) = state(prev);
-        steps.push((mv, exp.plane_of(prev_key, key, mv)));
-        (key, (prev, mv)) = (prev_key, prev_parent);
-    }
-    let mut trace = Pebbling::with_capacity(steps.len());
-    for &(mv, plane) in steps.iter().rev() {
-        trace.push_on(mv, plane);
-    }
-    trace
-}
 
 // ---------------------------------------------------------------------
 // implementation
@@ -420,12 +387,26 @@ impl<'a> Search<'a> {
         Err(SolveError::NoPebblingFound)
     }
 
-    /// The trace to a settled-or-discovered goal state. Called exactly
-    /// once per solve.
+    /// The trace to a settled-or-discovered goal state, rebuilt by
+    /// walking parent pointers back to the root. Each move is tagged with
+    /// the plane it acted on ([`Expander::plane_of`]), so one-plane traces
+    /// stay untagged. Called exactly once per solve.
     fn trace_to(&self, goal: u32) -> Pebbling {
-        recover_trace(&self.exp, goal, |id| {
-            (self.arena.key(id), self.nodes.parent[id as usize])
-        })
+        let mut steps = Vec::new();
+        let mut id = goal;
+        while self.nodes.parent[id as usize].0 != NO_STATE {
+            let (prev, mv) = self.nodes.parent[id as usize];
+            let plane = self
+                .exp
+                .plane_of(self.arena.key(prev), self.arena.key(id), mv);
+            steps.push((mv, plane));
+            id = prev;
+        }
+        let mut trace = Pebbling::with_capacity(steps.len());
+        for &(mv, plane) in steps.iter().rev() {
+            trace.push_on(mv, plane);
+        }
+        trace
     }
 
     /// Budget expiry: return the best goal discovered so far as a

@@ -1,20 +1,19 @@
-//! The shared move generator of the exact solvers.
+//! The move generator of the exact search.
 //!
-//! Sequential Dijkstra/A* ([`crate::exact`]) and the hash-sharded
-//! parallel search ([`crate::parallel`]) explore the same configuration
-//! graph; this module owns its single definition. An [`Expander`] packages
-//! everything that is a pure function of the instance — key layout, move
-//! guards, edge prices, the optimality-preserving prunes, and the
-//! incremental ±delta bookkeeping ([`Meta`]) — so every exact-family spec
-//! generates byte-identical successor keys with identical metadata, and
-//! the subtle per-model rules are written (and tested) exactly once.
+//! The Dijkstra/A* search ([`crate::exact`]) explores one configuration
+//! graph for every exact-family spec; this module owns its definition. An
+//! [`Expander`] packages everything that is a pure function of the
+//! instance — key layout, move guards, edge prices, the
+//! optimality-preserving prunes, and the incremental ±delta bookkeeping
+//! ([`Meta`]) — so every exact-family spec generates byte-identical
+//! successor keys with identical metadata, and the subtle per-model rules
+//! are written (and tested) exactly once.
 //!
 //! The expander is deliberately storage-agnostic: it does not know about
 //! arenas, heaps, or distances. [`Expander::expand`] walks the legal moves
 //! of a popped state and hands each successor `(key, move, edge cost,
-//! meta)` to a caller-supplied sink, which interns/relaxes it wherever
-//! that solver keeps its states (a local [`crate::arena::StateArena`], or
-//! a batch buffer bound for another shard's owner thread).
+//! meta)` to a caller-supplied sink, which interns and relaxes it in the
+//! search's [`crate::arena::StateArena`].
 //!
 //! ## Key layout
 //! A key is `planes` red planes, then the blue set, then (oneshot only)
@@ -53,8 +52,7 @@ use rbp_graph::NodeId;
 /// popped state to each successor as ±deltas instead of being rescanned.
 ///
 /// Each field is a pure function of the state key, so it is stored once
-/// at intern time regardless of which path (or which shard's message)
-/// reaches the state first; debug builds assert every delta against a
+/// at intern time regardless of which path reaches the state first; debug builds assert every delta against a
 /// full rescan ([`Expander::meta_scan`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Meta {
@@ -97,12 +95,11 @@ fn bit_clear(words: &mut [u64], i: usize) {
     words[i / 64] &= !(1 << (i % 64));
 }
 
-/// The per-instance move generator shared by the exact solvers.
+/// The per-instance move generator of the exact search.
 ///
 /// Construction precomputes the key layout and per-node static tables;
-/// the struct also owns the scratch buffers of the expansion hot path, so
-/// each solver thread needs its own `Expander` (they are cheap: a few
-/// `Vec`s sized by the instance, not by the search).
+/// the struct also owns the scratch buffers of the expansion hot path
+/// (a few `Vec`s sized by the instance, not by the search).
 pub struct Expander<'a> {
     instance: &'a Instance,
     n: usize,
@@ -629,7 +626,8 @@ mod tests {
     #[test]
     fn goal_states_have_zero_heuristic() {
         // at a goal every node is computed, so the A* count is empty —
-        // the parallel solver's f = g at goals relies on this
+        // the incumbent cutoff, which compares f against goal distances
+        // g, relies on this
         let inst = Instance::new(generate::chain(3), 2, CostModel::oneshot());
         let exp = Expander::new(&inst, 1, true, true);
         let mut key = vec![0u64; exp.key_words()];

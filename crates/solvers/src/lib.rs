@@ -25,7 +25,7 @@
 //!
 //! // …or the same solver under a budget: on expiry the exact solvers
 //! // return their best incumbent as Quality::UpperBound, not an error
-//! let solver = registry::solver("exact-parallel:2").unwrap();
+//! let solver = registry::solver("exact").unwrap();
 //! let ctx = SolveCtx::new(Budget::none().with_deadline(std::time::Duration::from_secs(5)));
 //! let sol = solver.solve(&inst, &ctx).unwrap();
 //! assert_eq!(sol.cost.transfers, 0);
@@ -47,11 +47,9 @@
 //!   instance's weights, with per-model optimality-preserving pruning,
 //!   incumbent-bound pruning, and an unpruned reference mode for
 //!   cross-validation (`exact`, `exact:unseeded`, `reference`,
-//!   `exact@mpp[:P]`);
-//! - [`parallel`]: the hash-sharded parallel exact search (HDA*) over
-//!   the same single-plane configuration graph, seeded with a greedy
-//!   incumbent;
-//! - [`expand`]: the move generator both exact searches share;
+//!   `exact@mpp[:P]`; `exact-parallel[:N]` is an alias of `exact`);
+//! - [`expand`]: the exact search's move generator, for any number of
+//!   red planes;
 //! - [`greedy`]: the three natural greedy rules of Section 8 with
 //!   pluggable eviction policies;
 //! - [`mpp`]: multiprocessor pebbling — the exact search over `p` red
@@ -85,7 +83,6 @@ pub mod exact;
 pub mod expand;
 pub mod greedy;
 pub mod mpp;
-pub mod parallel;
 pub mod pool;
 pub mod portfolio;
 pub mod registry;
@@ -94,10 +91,10 @@ pub mod visit;
 pub mod wire;
 
 pub use api::{
-    panic_payload_to_string, BeamSolver, Budget, ExactSolver, GreedySolver, ParallelExactSolver,
-    PortfolioSolver, Progress, Quality, Solution, SolveCtx, Solver, Stats,
+    panic_payload_to_string, BeamSolver, Budget, ExactSolver, GreedySolver, PortfolioSolver,
+    Progress, Quality, Solution, SolveCtx, Solver, Stats,
 };
-pub use arena::{global_id, split_id, NodeTable, StateArena, NO_STATE};
+pub use arena::{NodeTable, StateArena, NO_STATE};
 pub use beam::BeamConfig;
 pub use coarse::{CoarseConfig, CoarseSolver};
 pub use error::SolveError;
@@ -107,7 +104,7 @@ pub use greedy::{EvictionPolicy, GreedyConfig, SelectionRule};
 pub use mpp::{ExactMppSolver, GreedyMppSolver};
 pub use portfolio::default_portfolio;
 pub use registry::Registry;
-pub use sweep::{check_tradeoff_laws, sweep_r, sweep_r_serial, sweep_r_with, SweepPoint};
+pub use sweep::{check_tradeoff_laws, sweep_r, sweep_r_with, SweepPoint};
 pub use visit::{
     best_order, best_order_from, held_karp, GroupSpec, GroupedDag, OrderResult, VisitOrderSolver,
 };

@@ -264,7 +264,7 @@ impl Solver for ExactMppSolver {
 
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
         let inst = with_procs_override(instance, self.procs);
-        let mut sol = run_exact_family(&inst, self.cfg, inst.procs(), 1, true, ctx)?;
+        let mut sol = run_exact_family(&inst, self.cfg, inst.procs(), true, ctx)?;
         add_mpp_stats(&inst, &sol.trace, &mut sol.stats);
         Ok(sol)
     }

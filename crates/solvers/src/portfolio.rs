@@ -65,7 +65,7 @@ pub(crate) fn solve_portfolio(
 /// sits above the instance's provable floor
 /// ([`bounds::best_lower_bound`]). On instances whose default greedy
 /// is already optimal (chains, most zero-cost cells) seeding costs one
-/// greedy solve instead of nine, which keeps the seeded sequential path
+/// greedy solve instead of nine, which keeps the seeded search
 /// competitive even on solves that finish in tens of microseconds.
 pub(crate) fn greedy_incumbent(instance: &Instance) -> Option<Pebbling> {
     let scaled = |trace: &Pebbling| instance.scaled_cost(&trace.stats().cost());

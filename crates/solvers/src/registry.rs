@@ -11,11 +11,11 @@
 //! ```text
 //! spec := family [":" args]
 //!
-//! exact                         sequential exact (pruned, A*, greedy-seeded)
+//! exact                         exact search (pruned, A*, greedy-seeded)
 //!                               over single-processor schedules
 //! exact:unseeded                same, without the greedy incumbent seed
-//! exact-parallel[:THREADS]      hash-sharded parallel exact; THREADS ≥ 1
-//!                               (default: all cores)
+//! exact-parallel[:N]            alias of exact (its spec() is "exact"); N
+//!                               must be an integer ≥ 1 and is ignored
 //! reference                     brute-force exact (no pruning/heuristic/seed)
 //! greedy[:RULE[/EVICT]]         one greedy configuration
 //!     RULE  ∈ most-red-inputs | fewest-blue-inputs | highest-red-ratio
@@ -40,9 +40,9 @@
 //! on a `p > 1` instance proves the single-processor optimum and reports
 //! it as an upper bound.
 //!
-//! Degenerate numeric arguments (`exact-parallel:0`, `beam:0`) parse
-//! but fail at solve time with [`SolveError::BadConfig`], mirroring the
-//! programmatic API; malformed specs fail at parse time with
+//! A zero beam width (`beam:0`) parses but fails at solve time with
+//! [`SolveError::BadConfig`], mirroring the programmatic API; malformed
+//! specs, `exact-parallel:0` among them, fail at parse time with
 //! [`SolveError::BadSpec`].
 //!
 //! # Example
@@ -61,8 +61,7 @@
 //! ```
 
 use crate::api::{
-    BeamSolver, ExactSolver, GreedySolver, ParallelExactSolver, PortfolioSolver, Solution,
-    SolveCtx, Solver,
+    BeamSolver, ExactSolver, GreedySolver, PortfolioSolver, Solution, SolveCtx, Solver,
 };
 use crate::beam::BeamConfig;
 use crate::coarse::{CoarseConfig, CoarseSolver};
@@ -107,7 +106,7 @@ impl Registry {
         let mut r = Registry::empty();
         r.register(
             "exact",
-            "sequential exact (pruned, A*, greedy-seeded)",
+            "exact search (pruned, A*, greedy-seeded)",
             |a| match a {
                 None => Ok(Box::new(ExactSolver::new())),
                 Some("unseeded") => Ok(Box::new(ExactSolver::new().unseeded())),
@@ -116,15 +115,14 @@ impl Registry {
         );
         r.register(
             "exact-parallel",
-            "hash-sharded parallel exact; arg = thread count (default: all cores)",
-            |a| {
-                let solver = match a {
-                    None => ParallelExactSolver::new(),
-                    Some(n) => ParallelExactSolver::with_threads(n.parse().map_err(|_| {
-                        bad_args("exact-parallel", n, "thread count must be an integer")
-                    })?),
-                };
-                Ok(Box::new(solver))
+            "alias of exact; arg = a thread count >= 1, checked and ignored",
+            |a| match a {
+                Some(n) if !matches!(n.parse::<usize>(), Ok(t) if t >= 1) => Err(bad_args(
+                    "exact-parallel",
+                    n,
+                    "thread count must be an integer >= 1",
+                )),
+                _ => Ok(Box::new(ExactSolver::new())),
             },
         );
         r.register(
@@ -396,7 +394,7 @@ mod tests {
     fn solver_specs_round_trip_through_the_registry() {
         // spec → solver → .spec() → solver must be a fixed point after
         // one normalization step (defaults become explicit: `beam` →
-        // `beam:8`, `exact-parallel` → `exact-parallel:<cores>`).
+        // `beam:8`; the alias `exact-parallel[:N]` → `exact`).
         for spec in [
             "exact",
             "exact:unseeded",
@@ -428,10 +426,7 @@ mod tests {
         }
         // explicit arguments survive verbatim
         assert_eq!(solver("beam:4").unwrap().spec(), "beam:4");
-        assert_eq!(
-            solver("exact-parallel:2").unwrap().spec(),
-            "exact-parallel:2"
-        );
+        assert_eq!(solver("exact-parallel:2").unwrap().spec(), "exact");
         assert_eq!(
             solver("greedy:fewest-blue-inputs/lru").unwrap().spec(),
             "greedy:fewest-blue-inputs/lru"
@@ -466,6 +461,7 @@ mod tests {
             "exat",
             "exact:fast",
             "exact-parallel:many",
+            "exact-parallel:0",
             "beam:wide",
             "greedy:topo",
             "greedy:most-red-inputs/arc",
@@ -488,12 +484,27 @@ mod tests {
     #[test]
     fn degenerate_numeric_args_fail_at_solve_time() {
         let inst = diamond();
-        for spec in ["exact-parallel:0", "beam:0"] {
-            let s = solver(spec).expect("parses");
-            assert!(
-                matches!(s.solve_default(&inst), Err(SolveError::BadConfig { .. })),
-                "{spec} should be a BadConfig at solve time"
-            );
+        let s = solver("beam:0").expect("parses");
+        assert!(
+            matches!(s.solve_default(&inst), Err(SolveError::BadConfig { .. })),
+            "beam:0 should be a BadConfig at solve time"
+        );
+    }
+
+    #[test]
+    fn exact_parallel_answers_exactly_like_exact() {
+        // a base-model in-tree that forces spills, so the search is real
+        let mut b = DagBuilder::new(7);
+        for parent in 0..3 {
+            b.add_edge(2 * parent + 1, parent);
+            b.add_edge(2 * parent + 2, parent);
+        }
+        let inst = Instance::new(b.build().unwrap(), 3, CostModel::base());
+        let doc = |spec| crate::wire::write_solution("exact", &solve(spec, &inst).unwrap());
+        let exact = doc("exact");
+        for spec in ["exact-parallel", "exact-parallel:2"] {
+            assert_eq!(solver(spec).unwrap().spec(), "exact");
+            assert_eq!(doc(spec), exact, "{spec}");
         }
     }
 
@@ -516,10 +527,8 @@ mod tests {
             let r = dag.max_indegree() + 1;
             let inst = Instance::new(dag, r, CostModel::oneshot());
             let exact = solve("exact", &inst).unwrap();
-            let par = solve("exact-parallel:2", &inst).unwrap();
             let reference = solve("reference", &inst).unwrap();
             assert_eq!(exact.scaled_cost(&inst), reference.scaled_cost(&inst));
-            assert_eq!(exact.scaled_cost(&inst), par.scaled_cost(&inst));
             let greedy = solve("greedy", &inst).unwrap();
             assert!(exact.scaled_cost(&inst) <= greedy.scaled_cost(&inst));
         }

@@ -4,14 +4,11 @@
 //! The per-R solves are independent, so [`sweep_r`] fans them out over
 //! the shared work-queue pool ([`crate::pool`]): threads claim R-values
 //! from an atomic next-index counter, so one expensive mid-range R
-//! cannot serialize the rest of the sweep. Solvers dispatched this way
-//! should be internally single-threaded and spawn-free — e.g.
-//! [`ExactSolver::unseeded`][exact] (the *seeded* default escalates to
-//! a greedy portfolio that fans out over this same pool, nesting
-//! fan-outs), greedy, or beam. For internally parallel solvers use
-//! [`sweep_r_serial`], which inverts the shape — points run one after
-//! another and each solve fans out across its own worker shards. Mixing
-//! both would oversubscribe the host.
+//! cannot serialize the rest of the sweep. Every search runs on its
+//! calling thread, so any solver fits; [`ExactSolver::unseeded`][exact],
+//! greedy and beam are spawn-free, while the *seeded* exact default may
+//! escalate to a greedy portfolio that fans out over this same pool,
+//! nesting fan-outs.
 //!
 //! Every [`SweepPoint`] carries the full [`Solution`] (cost, quality,
 //! per-solver stats) plus wall-clock time, so tradeoff experiments can
@@ -73,23 +70,6 @@ pub fn sweep_r_with(
     crate::pool::run_indexed(rs.len(), |i| solve_point(instance, rs[i], solver, ctx))
 }
 
-/// Point-serial sweep for internally parallel solvers (e.g.
-/// [`ParallelExactSolver`](crate::api::ParallelExactSolver)): points run
-/// one after another and each solve fans out across its own threads.
-/// That is the right split when individual solves dominate (few, large
-/// instances) — point-level fan-out ([`sweep_r`]) wins when there are
-/// many small points.
-pub fn sweep_r_serial(
-    instance: &Instance,
-    r_range: std::ops::RangeInclusive<usize>,
-    solver: &dyn Solver,
-    ctx: &SolveCtx,
-) -> Vec<SweepPoint> {
-    r_range
-        .map(|r| solve_point(instance, r, solver, ctx))
-        .collect()
-}
-
 fn solve_point(instance: &Instance, r: usize, solver: &dyn Solver, ctx: &SolveCtx) -> SweepPoint {
     let inst = instance.with_red_limit(r);
     let t0 = std::time::Instant::now();
@@ -129,7 +109,7 @@ pub fn check_tradeoff_laws(instance: &Instance, points: &[SweepPoint]) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{ExactSolver, GreedySolver, ParallelExactSolver};
+    use crate::api::{ExactSolver, GreedySolver};
     use rbp_core::CostModel;
     use rbp_graph::generate;
 
@@ -174,26 +154,6 @@ mod tests {
             let direct = solver.solve_default(&inst.with_red_limit(p.r)).unwrap();
             assert_eq!(Some(states), direct.states_expanded());
             assert!(p.result.as_ref().unwrap().is_optimal());
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential_sweep() {
-        let dag = generate::chain(6);
-        let inst = Instance::new(dag, 2, CostModel::nodel());
-        let seq = sweep_r(&inst, 2..=4, &ExactSolver::new().unseeded());
-        let par = sweep_r_serial(
-            &inst,
-            2..=4,
-            &ParallelExactSolver::with_threads(2),
-            &SolveCtx::default(),
-        );
-        assert_eq!(par.len(), seq.len());
-        let eps = inst.model().epsilon();
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.r, s.r, "increasing-R order preserved");
-            assert_eq!(p.cost().unwrap().scaled(eps), s.cost().unwrap().scaled(eps));
-            assert!(p.states_expanded().is_some());
         }
     }
 

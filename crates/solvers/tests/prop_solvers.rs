@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rbp_core::{engine, CostModel, Instance, ModelKind};
 use rbp_graph::DagBuilder;
-use rbp_solvers::api::{ExactSolver, GreedySolver, ParallelExactSolver, Solver};
+use rbp_solvers::api::{ExactSolver, GreedySolver, Solver};
 use rbp_solvers::{
     best_order, registry, EvictionPolicy, ExactConfig, GreedyConfig, GroupSpec, GroupedDag,
     SelectionRule, StateArena,
@@ -202,34 +202,6 @@ proptest! {
         // every key still recoverable after all growth
         for (key, &id) in &reference {
             prop_assert_eq!(arena.key(id), &key[..]);
-        }
-    }
-
-    /// The parallel solver finds the sequential optimum on random
-    /// layered DAGs at every thread count, in every model, and its trace
-    /// replays through the validating engine.
-    #[test]
-    fn parallel_matches_sequential_on_layered_dags(
-        dag in arb_layered(),
-        kind in 0usize..4,
-    ) {
-        let model = CostModel::of_kind(ModelKind::ALL[kind]);
-        let r = dag.max_indegree() + 1;
-        let inst = Instance::new(dag, r, model);
-        let eps = inst.model().epsilon();
-        let seq = registry::solve("exact", &inst).unwrap();
-        for threads in [1usize, 2, 4] {
-            let par = ParallelExactSolver::with_threads(threads)
-                .solve_default(&inst)
-                .unwrap();
-            prop_assert_eq!(
-                par.cost.scaled(eps),
-                seq.cost.scaled(eps),
-                "threads={} diverged", threads
-            );
-            let sim = engine::simulate(&inst, &par.trace).unwrap();
-            prop_assert_eq!(sim.cost, par.cost);
-            prop_assert!(sim.peak_red <= inst.red_limit());
         }
     }
 

@@ -4,18 +4,19 @@
 //! model/solver refactor must pass before landing.
 //!
 //! Papp–Wattenhofer's results are hardness claims, so this repository
-//! carries five solver families (exact, exact-parallel, greedy, beam,
-//! portfolio) that can silently disagree in ways no single unit test
-//! catches. This crate turns their redundancy into an oracle:
+//! carries several solver families (exact, greedy, beam, portfolio,
+//! coarse, and the multiprocessor pair) that can silently disagree in
+//! ways no single unit test catches. This crate turns their redundancy
+//! into an oracle:
 //!
 //! - [`harness`]: the differential invariant lattice — every registry
-//!   spec is run over each instance and checked against the sequential
-//!   exact optimum (`Optimal` agreement, heuristic domination,
-//!   `exact-parallel:N == exact`, budget-degradation brackets,
-//!   cache-hit byte identity, wire round-trip identity), with every
-//!   returned trace re-executed by the **independent certifier**
-//!   ([`mod@rbp_core::certify`]) that shares no code with the solvers
-//!   or the engine;
+//!   spec is run over each instance and checked against the exact
+//!   optimum (`Optimal` agreement for every spec, `reference` and
+//!   `exact:unseeded` included, heuristic domination,
+//!   budget-degradation brackets, cache-hit byte identity, wire
+//!   round-trip identity), with every returned trace re-executed by the
+//!   **independent certifier** ([`mod@rbp_core::certify`]) that shares
+//!   no code with the solvers or the engine;
 //! - [`mod@shrink`]: greedy minimization of any violating DAG, persisted as
 //!   a replayable `instance v1` counterexample under
 //!   `results/counterexamples/`;

@@ -64,8 +64,7 @@ impl Family {
 /// Size and shape bounds for generated instances.
 ///
 /// The defaults are tuned for the differential harness: every registry
-/// spec (including the unpruned reference solver and the parallel exact
-/// family) must finish in well under a millisecond per instance so the
+/// spec (including the unpruned reference solver) must finish in well under a millisecond per instance so the
 /// CI soak can afford ≥ 10,000 instances in a short wall-clock budget.
 #[derive(Clone, Copy, Debug)]
 pub struct EnsembleConfig {

@@ -2,7 +2,7 @@
 //! and a live progress observer.
 //!
 //! Every solver sits behind the `Solver` trait and a registry spec
-//! (`"exact"`, `"exact-parallel:4"`, `"greedy:most-red-inputs/lru"`,
+//! (`"exact"`, `"exact@mpp:2"`, `"greedy:most-red-inputs/lru"`,
 //! `"beam:256"`, `"portfolio"`), so selecting a solver is configuration,
 //! not code. Budgets (deadline, expansion cap, cancellation flag) make
 //! exact solves safe to run against hard instances: on expiry they

@@ -35,7 +35,7 @@
 //! assert_eq!(report.cost, opt.cost);
 //! ```
 //!
-//! Solvers are selected by spec string (`"exact"`, `"exact-parallel:4"`,
+//! Solvers are selected by spec string (`"exact"`, `"exact@mpp:2"`,
 //! `"greedy:most-red-inputs/lru"`, `"beam:256"`, `"portfolio"`) through
 //! [`solvers::registry`], or constructed directly and used through the
 //! [`solvers::api::Solver`] trait with budgets and progress observers —

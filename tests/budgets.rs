@@ -75,11 +75,11 @@ fn expansion_cap_is_honored_within_a_quantum() {
     assert!(engine::simulate(&inst, &sol.trace).is_ok());
 }
 
-/// The cancellation flag stops the parallel solver within one batch
+/// The cancellation flag stops the exact solver within one poll
 /// quantum: after the flag flips, the solve returns promptly with the
 /// incumbent instead of running the remaining (multi-second) search.
 #[test]
-fn cancellation_stops_the_parallel_solver_within_one_quantum() {
+fn cancellation_stops_the_exact_solver_within_one_quantum() {
     let inst = hard_instance();
     let flag = Arc::new(AtomicBool::new(false));
     let ctx = SolveCtx::new(Budget::none().with_cancel(Arc::clone(&flag)));
@@ -92,17 +92,17 @@ fn cancellation_stops_the_parallel_solver_within_one_quantum() {
             Instant::now()
         })
     };
-    let solver = registry::solver("exact-parallel:2").unwrap();
+    let solver = registry::solver("exact").unwrap();
     let sol = solver.solve(&inst, &ctx).expect("cancel must degrade");
     let returned_at = Instant::now();
     let cancelled_at = canceller.join().unwrap();
 
-    // workers poll once per ~64-pop quantum; seconds of slack absorbs
-    // debug-build slowness while still catching a search that ignored
-    // the flag (it would run for minutes)
+    // the search polls once per 256-expansion quantum; seconds of slack
+    // absorbs debug-build slowness while still catching a search that
+    // ignored the flag (it would run for minutes)
     assert!(
         returned_at.duration_since(cancelled_at) < Duration::from_secs(20),
-        "parallel solve ignored the cancellation flag"
+        "exact solve ignored the cancellation flag"
     );
     assert!(!sol.is_optimal());
     assert!(engine::simulate(&inst, &sol.trace).is_ok());
@@ -116,7 +116,7 @@ fn pre_cancelled_solves_degrade_or_interrupt() {
     let flag = Arc::new(AtomicBool::new(true));
     let ctx = SolveCtx::new(Budget::none().with_cancel(Arc::clone(&flag)));
 
-    let sol = registry::solver("exact-parallel:2")
+    let sol = registry::solver("exact")
         .unwrap()
         .solve(&inst, &ctx)
         .expect("seeded solve degrades");
@@ -144,11 +144,12 @@ fn loose_budgets_do_not_perturb_optima() {
     let eps = inst.model().epsilon();
     let free = registry::solve("exact", &inst).unwrap();
     let ctx = SolveCtx::new(Budget::none().with_deadline(Duration::from_secs(60)));
-    for spec in ["exact", "exact-parallel:2"] {
-        let budgeted = registry::solver(spec).unwrap().solve(&inst, &ctx).unwrap();
-        assert!(budgeted.is_optimal(), "{spec} finished well inside budget");
-        assert_eq!(budgeted.cost.scaled(eps), free.cost.scaled(eps), "{spec}");
-    }
+    let budgeted = registry::solver("exact")
+        .unwrap()
+        .solve(&inst, &ctx)
+        .unwrap();
+    assert!(budgeted.is_optimal(), "exact finished well inside budget");
+    assert_eq!(budgeted.cost.scaled(eps), free.cost.scaled(eps));
 }
 
 /// A capped search that ends without a goal answers with its greedy

@@ -76,7 +76,7 @@ fn readme_registry_specs_parse_and_solve() {
     let section = section.split("\n## ").next().unwrap();
     let mut specs: Vec<&str> = Vec::new();
     for line in section.lines() {
-        // table rows look like:  | `exact-parallel:4` | ... |
+        // table rows look like:  | `beam:256` | ... |
         let line = line.trim();
         let Some(rest) = line.strip_prefix("| `") else {
             continue;

@@ -30,13 +30,7 @@ end
 fn exact_specs_prove_the_weighted_optimum() {
     let inst = parse_instance(WEIGHTED).unwrap();
     assert_eq!(inst.cost_scales(), (1, 5));
-    for spec in [
-        "exact",
-        "exact:unseeded",
-        "exact-parallel:2",
-        "reference",
-        "exact@mpp",
-    ] {
+    for spec in ["exact", "exact:unseeded", "reference", "exact@mpp"] {
         let sol = registry::solve(spec, &inst).unwrap();
         assert!(sol.is_optimal(), "{spec} did not prove optimality");
         assert_eq!(
