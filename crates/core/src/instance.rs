@@ -3,9 +3,9 @@
 //! multiprocessor (MPP) dimension.
 
 use crate::cost::{Cost, Ratio};
-use crate::model::{CostModel, ModelKind};
+use crate::model::CostModel;
 use rbp_graph::hash::hash_words;
-use rbp_graph::{levels, Dag};
+use rbp_graph::Dag;
 use std::fmt;
 use std::sync::Arc;
 
@@ -266,50 +266,29 @@ impl Instance {
         cost.transfers as u128 * comm as u128 + cost.computes as u128 * comp as u128
     }
 
-    /// A stable 128-bit digest of the *problem* this instance poses —
-    /// the cache key of the batch-solve service.
+    /// A stable 128-bit digest of the problem this instance poses, in its
+    /// own node numbering — the cache key of the batch-solve service.
     ///
-    /// Two instances with the same DAG structure, red budget, model, and
-    /// conventions always produce the same key (node labels are ignored:
-    /// they never affect a pebbling's cost). When cheap topo-layer
-    /// refinement individualizes every node — iterated
-    /// Weisfeiler–Leman-style recoloring seeded from `(topological
-    /// level, indegree, outdegree)` — the digest is additionally
-    /// invariant under node relabeling: the DAG is re-serialized in
-    /// refinement-color order, so isomorphic relabelings of the same
-    /// problem collide on purpose ([`CanonicalKey::is_relabeling_invariant`]
-    /// reports `true`). When refinement stalls before individualizing
-    /// (automorphism-rich DAGs), the digest falls back to the exact
-    /// node-id-order serialization: still deterministic and
-    /// collision-resistant, just not relabeling-invariant — full graph
-    /// canonicalization is GI-hard and a cache key must stay cheap.
+    /// It covers the predecessor lists in node-id order, R, the model and
+    /// its ε, both conventions and the MPP dimension, but not node labels.
+    /// Two instances key alike exactly when they pose the same problem
+    /// over the same node ids, so a relabeling keys alike only when it
+    /// keeps the edge set, and a cached trace fits every instance that
+    /// looks it up.
     pub fn canonical_key(&self) -> CanonicalKey {
         let dag = self.dag();
         let n = dag.n();
-        let order = refinement_order(dag);
-        let canonical = order.is_some();
-        // perm[original id] = serialized position
-        let perm: Vec<u32> = match &order {
-            Some(by_color) => {
-                let mut perm = vec![0u32; n];
-                for (pos, &v) in by_color.iter().enumerate() {
-                    perm[v] = pos as u32;
-                }
-                perm
-            }
-            None => (0..n as u32).collect(),
-        };
         // serialize: header, instance parameters, then per-node sorted
-        // predecessor lists in serialized order
+        // predecessor lists in node-id order
         let eps = self.model.epsilon();
         let mut stream: Vec<u64> = Vec::with_capacity(15 + n + dag.num_edges());
         stream.extend_from_slice(&[
             0x7265_6462_6c75_6501, // "redblue" format marker, version 1
-            canonical as u64,
+            0,                     // reserved, always 0: keys in snapshots stay valid
             n as u64,
             dag.num_edges() as u64,
             self.red_limit as u64,
-            model_discriminant(self.model.kind()),
+            self.model.kind() as u64,
             eps.num(),
             eps.den(),
             self.source_convention as u64,
@@ -324,21 +303,11 @@ impl Instance {
             None => (1, Ratio::new(1, 1), eps),
         };
         stream.extend_from_slice(&[p, comm.num(), comm.den(), comp.num(), comp.den()]);
-        let mut preds: Vec<u32> = Vec::new();
-        for pos in 0..n {
-            let v = match &order {
-                Some(by_color) => by_color[pos],
-                None => pos,
-            };
-            preds.clear();
-            preds.extend(
-                dag.preds(rbp_graph::NodeId::new(v))
-                    .iter()
-                    .map(|p| perm[p.index()]),
-            );
-            preds.sort_unstable();
+        for v in dag.nodes() {
             stream.push(u64::MAX); // node separator
-            stream.extend(preds.iter().map(|&p| p as u64));
+            let start = stream.len();
+            stream.extend(dag.preds(v).iter().map(|p| p.index() as u64));
+            stream[start..].sort_unstable();
         }
         let mut salted = Vec::with_capacity(stream.len() + 1);
         salted.push(0x9e37_79b9_7f4a_7c15);
@@ -346,10 +315,7 @@ impl Instance {
         let d0 = hash_words(&salted);
         salted[0] = 0xc2b2_ae3d_27d4_eb4f;
         let d1 = hash_words(&salted);
-        CanonicalKey {
-            digest: [d0, d1],
-            canonical,
-        }
+        CanonicalKey { digest: [d0, d1] }
     }
 
     /// Whether a pebbling exists at all: R ≥ Δ+1 (Section 3).
@@ -363,11 +329,11 @@ impl Instance {
     }
 }
 
-/// The digest returned by [`Instance::canonical_key`].
+/// The digest returned by [`Instance::canonical_key`]: 128 bits over
+/// the instance in its own node numbering, and nothing else.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CanonicalKey {
     digest: [u64; 2],
-    canonical: bool,
 }
 
 impl CanonicalKey {
@@ -377,14 +343,12 @@ impl CanonicalKey {
         self.digest
     }
 
-    /// Whether topo-layer refinement individualized every node, making
-    /// this digest invariant under node relabeling. `false` means the
-    /// exact-bytes fallback was used: the key is still stable for
-    /// byte-identical instances, but an isomorphic relabeling may key
-    /// differently.
+    /// Always `false`: the key is taken in the instance's own node
+    /// numbering, so it is not invariant under node relabeling. Kept for
+    /// callers that report the fraction of relabeling-invariant keys.
     #[inline]
     pub fn is_relabeling_invariant(&self) -> bool {
-        self.canonical
+        false
     }
 
     /// The digest as 32 hex digits — the wire/logging form.
@@ -392,21 +356,17 @@ impl CanonicalKey {
         format!("{:016x}{:016x}", self.digest[0], self.digest[1])
     }
 
-    /// Rebuilds a key from its [`CanonicalKey::to_hex`] form plus the
-    /// [`CanonicalKey::is_relabeling_invariant`] flag — the persistence
-    /// path for cache snapshots, which must restore keys without the
-    /// original instance. Returns `None` unless `hex` is exactly 32 hex
-    /// digits.
-    pub fn from_hex(hex: &str, relabeling_invariant: bool) -> Option<CanonicalKey> {
+    /// Rebuilds a key from its [`CanonicalKey::to_hex`] form — the
+    /// persistence path for cache snapshots, which must restore keys
+    /// without the original instance. Returns `None` unless `hex` is
+    /// exactly 32 hex digits.
+    pub fn from_hex(hex: &str) -> Option<CanonicalKey> {
         if hex.len() != 32 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         let d0 = u64::from_str_radix(&hex[..16], 16).ok()?;
         let d1 = u64::from_str_radix(&hex[16..], 16).ok()?;
-        Some(CanonicalKey {
-            digest: [d0, d1],
-            canonical: relabeling_invariant,
-        })
+        Some(CanonicalKey { digest: [d0, d1] })
     }
 }
 
@@ -414,85 +374,6 @@ impl fmt::Display for CanonicalKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.pad(&self.to_hex())
     }
-}
-
-fn model_discriminant(kind: ModelKind) -> u64 {
-    match kind {
-        ModelKind::Base => 0,
-        ModelKind::Oneshot => 1,
-        ModelKind::NoDel => 2,
-        ModelKind::CompCost => 3,
-    }
-}
-
-/// Iterated Weisfeiler–Leman-style color refinement seeded from
-/// `(topological level, indegree, outdegree)`. Returns the node ids
-/// sorted by final color when the refinement is *discrete* (every node
-/// has a unique color — then color order is a canonical order), `None`
-/// when it stalls with ties.
-fn refinement_order(dag: &Dag) -> Option<Vec<usize>> {
-    let n = dag.n();
-    if n == 0 {
-        return Some(Vec::new());
-    }
-    let lv = levels(dag);
-    let mut color: Vec<u64> = (0..n)
-        .map(|i| {
-            let v = rbp_graph::NodeId::new(i);
-            hash_words(&[
-                lv[i] as u64,
-                dag.indegree(v) as u64,
-                dag.outdegree(v) as u64,
-            ])
-        })
-        .collect();
-    let mut distinct = count_distinct(&color);
-    let mut next = vec![0u64; n];
-    let mut neigh: Vec<u64> = Vec::new();
-    let mut words: Vec<u64> = Vec::new();
-    // each effective round strictly increases the number of color
-    // classes, so n rounds always suffice
-    for _ in 0..n {
-        if distinct == n {
-            break;
-        }
-        for i in 0..n {
-            let v = rbp_graph::NodeId::new(i);
-            words.clear();
-            words.push(color[i]);
-            words.push(u64::MAX); // separate own color / preds / succs
-            neigh.clear();
-            neigh.extend(dag.preds(v).iter().map(|p| color[p.index()]));
-            neigh.sort_unstable();
-            words.extend_from_slice(&neigh);
-            words.push(u64::MAX);
-            neigh.clear();
-            neigh.extend(dag.succs(v).iter().map(|s| color[s.index()]));
-            neigh.sort_unstable();
-            words.extend_from_slice(&neigh);
-            next[i] = hash_words(&words);
-        }
-        std::mem::swap(&mut color, &mut next);
-        let d = count_distinct(&color);
-        if d == distinct {
-            // stable partition with ties: give up (exact-bytes fallback)
-            return None;
-        }
-        distinct = d;
-    }
-    if distinct < n {
-        return None;
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by_key(|&i| color[i]);
-    Some(order)
-}
-
-fn count_distinct(colors: &[u64]) -> usize {
-    let mut sorted = colors.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    sorted.len()
 }
 
 impl fmt::Debug for Instance {
@@ -580,56 +461,54 @@ mod tests {
     }
 
     #[test]
-    fn canonical_key_invariant_under_relabeling_when_discrete() {
-        // a chain individualizes immediately (levels are all distinct),
-        // so any relabeling must collide
-        let chain = {
+    fn canonical_key_is_taken_in_the_own_node_numbering() {
+        let dag = |edges: &[(usize, usize)]| {
             let mut b = DagBuilder::new(4);
-            b.add_edge(0, 1);
-            b.add_edge(1, 2);
-            b.add_edge(2, 3);
-            b.build().unwrap()
+            for &(u, v) in edges {
+                b.add_edge(u, v);
+            }
+            Instance::new(b.build().unwrap(), 2, CostModel::base())
         };
-        let scrambled = {
-            // same chain under the relabeling 0→2, 1→0, 2→3, 3→1
-            let mut b = DagBuilder::new(4);
-            b.add_edge(2, 0);
-            b.add_edge(0, 3);
-            b.add_edge(3, 1);
-            b.build().unwrap()
-        };
-        let a = Instance::new(chain, 2, CostModel::base()).canonical_key();
-        let b = Instance::new(scrambled, 2, CostModel::base()).canonical_key();
-        assert!(a.is_relabeling_invariant());
-        assert_eq!(a, b);
+        let chain = dag(&[(0, 1), (1, 2), (2, 3)]);
+        // the same chain under the relabeling 0→2, 1→0, 2→3, 3→1: another
+        // edge set, so another key (a trace of one is no trace of the other)
+        let scrambled = dag(&[(2, 0), (0, 3), (3, 1)]);
+        assert_ne!(chain.canonical_key(), scrambled.canonical_key());
+        assert_eq!(chain.canonical_key(), chain.canonical_key());
+        assert!(!chain.canonical_key().is_relabeling_invariant());
+        // two 2-chains with the halves swapped: the edge set is unchanged,
+        // and so is the key
+        let halves = dag(&[(0, 1), (2, 3)]);
+        let swapped = dag(&[(2, 3), (0, 1)]);
+        assert_eq!(halves.canonical_key(), swapped.canonical_key());
     }
 
     #[test]
-    fn canonical_key_falls_back_on_automorphic_dags() {
-        // two independent 2-chains: the halves are indistinguishable by
-        // refinement, so the key degrades to exact-bytes mode
-        let mut b = DagBuilder::new(4);
-        b.add_edge(0, 1);
-        b.add_edge(2, 3);
-        let inst = Instance::new(b.build().unwrap(), 2, CostModel::base());
-        let key = inst.canonical_key();
-        assert!(!key.is_relabeling_invariant());
-        // still deterministic
-        assert_eq!(key, inst.canonical_key());
+    fn canonical_key_of_pyramid3_is_pinned() {
+        // pyramid(3): rows {0, 1, 2}, {3, 4}, {5}; under nodel at R = 3.
+        // Cache snapshots hold keys, so the digest must never drift.
+        let mut b = DagBuilder::new(6);
+        for (u, v) in [(0, 3), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)] {
+            b.add_edge(u, v);
+        }
+        let inst = Instance::new(b.build().unwrap(), 3, CostModel::nodel());
+        assert_eq!(
+            inst.canonical_key().to_hex(),
+            "a0f05f7f4e6242e23b5bae66ce1550b8"
+        );
     }
 
     #[test]
     fn canonical_key_hex_round_trips() {
         let inst = Instance::new(star_into(2), 3, CostModel::base());
         let key = inst.canonical_key();
-        let back = CanonicalKey::from_hex(&key.to_hex(), key.is_relabeling_invariant())
-            .expect("own hex form must parse");
+        let back = CanonicalKey::from_hex(&key.to_hex()).expect("own hex form must parse");
         assert_eq!(back, key);
         // malformed forms are rejected, not mis-parsed
-        assert!(CanonicalKey::from_hex("", true).is_none());
-        assert!(CanonicalKey::from_hex("deadbeef", true).is_none());
-        assert!(CanonicalKey::from_hex(&"g".repeat(32), true).is_none());
-        assert!(CanonicalKey::from_hex(&key.to_hex()[..31], true).is_none());
+        assert!(CanonicalKey::from_hex("").is_none());
+        assert!(CanonicalKey::from_hex("deadbeef").is_none());
+        assert!(CanonicalKey::from_hex(&"g".repeat(32)).is_none());
+        assert!(CanonicalKey::from_hex(&key.to_hex()[..31]).is_none());
     }
 
     #[test]

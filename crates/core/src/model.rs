@@ -4,17 +4,18 @@
 use crate::cost::Ratio;
 use std::fmt;
 
-/// Which model variant governs a pebbling (Table 1).
+/// Which model variant governs a pebbling (Table 1). The discriminants
+/// are part of [`crate::Instance::canonical_key`], so they never change.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ModelKind {
     /// Baseline model: compute and delete are free and unrestricted.
-    Base,
+    Base = 0,
     /// Each node may be computed at most once ("red-blue-white pebbling").
-    Oneshot,
+    Oneshot = 1,
     /// Deletions are forbidden; recomputation replaces blue pebbles.
-    NoDel,
+    NoDel = 2,
     /// Computation costs ε (0 < ε < 1); otherwise like base.
-    CompCost,
+    CompCost = 3,
 }
 
 impl fmt::Display for ModelKind {

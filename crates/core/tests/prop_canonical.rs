@@ -1,6 +1,7 @@
 //! Property tests for [`Instance::canonical_key`] and the instance wire
-//! format: relabeling invariance (when refinement individualizes),
-//! parameter separation, and serialize/parse round trips.
+//! format: the key is taken in the instance's own node numbering (two
+//! DAGs key alike exactly when their edge sets are equal), parameters
+//! separate keys, and serialize/parse round trips keep the key.
 
 use proptest::prelude::*;
 use rbp_core::{io, CostModel, Instance, SinkConvention, SourceConvention};
@@ -35,8 +36,8 @@ fn arb_dag(max_n: usize) -> impl Strategy<Value = Dag> {
     })
 }
 
-/// Rebuilds `dag` under the node permutation `perm` (old id → new id),
-/// preserving labels.
+/// Rebuilds `dag` under the node permutation `perm` (old id → new id);
+/// labels are dropped, as the key ignores them.
 fn relabel(dag: &Dag, perm: &[usize]) -> Dag {
     let mut b = DagBuilder::new(dag.n());
     for (u, v) in dag.edges() {
@@ -59,49 +60,20 @@ fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
     perm
 }
 
-/// All permutations of `0..n` (Heap's algorithm); callers keep n ≤ 6.
-fn permutations(n: usize) -> Vec<Vec<usize>> {
-    fn heap(k: usize, arr: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if k <= 1 {
-            out.push(arr.clone());
-            return;
-        }
-        for i in 0..k {
-            heap(k - 1, arr, out);
-            if k.is_multiple_of(2) {
-                arr.swap(i, k - 1);
-            } else {
-                arr.swap(0, k - 1);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    heap(n, &mut (0..n).collect::<Vec<_>>(), &mut out);
-    out
+/// The DAG's node count and sorted edge list: what the key digests.
+fn edge_set(dag: &Dag) -> (usize, Vec<(usize, usize)>) {
+    let mut edges: Vec<(usize, usize)> = dag.edges().map(|(u, v)| (u.index(), v.index())).collect();
+    edges.sort_unstable();
+    (dag.n(), edges)
 }
 
-/// Ground-truth DAG isomorphism by brute force over all node
-/// permutations — viable exactly because the anti-collision tests stay
-/// at n ≤ 6 (≤ 720 candidates).
-fn is_isomorphic(a: &Dag, b: &Dag) -> bool {
-    if a.n() != b.n() || a.num_edges() != b.num_edges() {
-        return false;
-    }
-    let eb: std::collections::HashSet<(usize, usize)> =
-        b.edges().map(|(u, v)| (u.index(), v.index())).collect();
-    let ea: Vec<(usize, usize)> = a.edges().map(|(u, v)| (u.index(), v.index())).collect();
-    permutations(a.n())
-        .iter()
-        .any(|perm| ea.iter().all(|&(u, v)| eb.contains(&(perm[u], perm[v]))))
-}
-
-/// Exhaustive anti-collision smoke: over *every* DAG on 2–4 nodes
-/// (all upper-triangular edge masks), two instances share a canonical
-/// key only if their DAGs are isomorphic. Complements the
-/// relabeling-collision property with the opposite direction.
+/// Exhaustive anti-collision smoke: every DAG on 2–4 nodes (all
+/// upper-triangular edge masks) appears once, with its own edge set, so
+/// no two of them may share a key.
 #[test]
-fn exhaustive_small_dags_collide_only_when_isomorphic() {
-    let mut all: Vec<(Dag, rbp_core::CanonicalKey)> = Vec::new();
+fn exhaustive_small_dags_collide_only_when_edge_sets_are_equal() {
+    let mut seen: std::collections::HashMap<rbp_core::CanonicalKey, Dag> =
+        std::collections::HashMap::new();
     for n in 2..=4usize {
         let pairs = n * (n - 1) / 2;
         for mask in 0u32..(1 << pairs) {
@@ -118,15 +90,11 @@ fn exhaustive_small_dags_collide_only_when_isomorphic() {
             let dag = b.build().unwrap();
             let key = Instance::new(dag.clone(), dag.max_indegree() + 1, CostModel::base())
                 .canonical_key();
-            all.push((dag, key));
-        }
-    }
-    for (i, (da, ka)) in all.iter().enumerate() {
-        for (db, kb) in &all[i + 1..] {
-            if ka == kb {
-                assert!(
-                    is_isomorphic(da, db),
-                    "canonical-key collision on non-isomorphic DAGs:\n{da:?}\n{db:?}"
+            if let Some(prev) = seen.insert(key, dag.clone()) {
+                assert_eq!(
+                    edge_set(&prev),
+                    edge_set(&dag),
+                    "canonical-key collision on different edge sets"
                 );
             }
         }
@@ -134,11 +102,10 @@ fn exhaustive_small_dags_collide_only_when_isomorphic() {
 }
 
 proptest! {
-    /// Random-pair anti-collision smoke at n ≤ 6: whenever two sampled
-    /// instances share a key, brute-force isomorphism must confirm the
-    /// DAGs really are the same graph.
+    /// Random-pair anti-collision smoke at n ≤ 6: two sampled instances
+    /// share a key only when their DAGs have the same edge set.
     #[test]
-    fn non_isomorphic_small_dags_never_collide(
+    fn different_edge_sets_never_collide(
         a in arb_dag(6),
         b in arb_dag(6),
         model in arb_model(),
@@ -146,35 +113,54 @@ proptest! {
         let r = a.max_indegree().max(b.max_indegree()) + 1;
         let ka = Instance::new(a.clone(), r, model).canonical_key();
         let kb = Instance::new(b.clone(), r, model).canonical_key();
-        if ka == kb {
-            prop_assert!(
-                is_isomorphic(&a, &b),
-                "canonical-key collision on non-isomorphic DAGs"
-            );
-        }
+        prop_assert_eq!(ka == kb, edge_set(&a) == edge_set(&b));
     }
 
-    /// Isomorphic relabelings collide whenever the key claims
-    /// relabeling invariance (and the claim itself is iso-invariant).
+    /// A relabeling that changes the edge set changes the key: a trace
+    /// written in one numbering is no trace of the other.
     #[test]
-    fn relabelings_collide_when_canonical(
+    fn relabelings_that_change_the_edge_set_change_the_key(
         dag in arb_dag(9),
         model in arb_model(),
         seed in any::<u64>(),
     ) {
+        let n = dag.n();
         let r = dag.max_indegree() + 2;
-        let perm = permutation(dag.n(), seed | 1);
-        let relabeled = relabel(&dag, &perm);
-        let a = Instance::new(dag, r, model).canonical_key();
-        let b = Instance::new(relabeled, r, model).canonical_key();
-        prop_assert_eq!(
-            a.is_relabeling_invariant(),
-            b.is_relabeling_invariant(),
-            "discreteness of refinement is itself an isomorphism invariant"
-        );
-        if a.is_relabeling_invariant() {
-            prop_assert_eq!(a, b, "canonical keys must ignore node labeling");
+        let key = |d: &Dag| Instance::new(d.clone(), r, model).canonical_key();
+        // the cyclic shift v → v+1 (mod n) maps no DAG with an edge onto
+        // itself: the orbit of one edge would close a cycle
+        let shifted = relabel(&dag, &(0..n).map(|v| (v + 1) % n).collect::<Vec<_>>());
+        let edgeless = dag.num_edges() == 0;
+        prop_assert_eq!(edge_set(&shifted) == edge_set(&dag), edgeless);
+        prop_assert_eq!(key(&shifted) == key(&dag), edgeless);
+        // any seeded permutation: the key changes exactly when the edge
+        // set does
+        let permuted = relabel(&dag, &permutation(n, seed | 1));
+        prop_assert_eq!(key(&permuted) == key(&dag), edge_set(&permuted) == edge_set(&dag));
+    }
+
+    /// A relabeling that keeps the edge set keeps the key: two disjoint
+    /// copies of one DAG, with the copies swapped.
+    #[test]
+    fn relabelings_that_keep_the_edge_set_keep_the_key(
+        dag in arb_dag(6),
+        model in arb_model(),
+    ) {
+        let n = dag.n();
+        let mut b = DagBuilder::new(2 * n);
+        for (u, v) in dag.edges() {
+            b.add_edge(u.index(), v.index());
+            b.add_edge(u.index() + n, v.index() + n);
         }
+        let twins = b.build().unwrap();
+        let swap: Vec<usize> = (0..2 * n).map(|v| (v + n) % (2 * n)).collect();
+        let swapped = relabel(&twins, &swap);
+        prop_assert_eq!(edge_set(&twins), edge_set(&swapped));
+        let r = dag.max_indegree() + 1;
+        prop_assert_eq!(
+            Instance::new(twins, r, model).canonical_key(),
+            Instance::new(swapped, r, model).canonical_key()
+        );
     }
 
     /// Distinct red budgets and distinct models never collide on the

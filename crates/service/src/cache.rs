@@ -1,9 +1,8 @@
-//! The quality-aware memoization cache: canonical instance key →
-//! best-known [`Solution`].
+//! The quality-aware memoization cache: instance key → best-known
+//! [`Solution`].
 //!
-//! Keys come from [`Instance::canonical_key`], so two submissions of
-//! the same instance — even under a node relabeling, when the
-//! refinement individualizes — land in the same slot. Entries carry a
+//! Keys come from [`Instance::canonical_key`] of the problem a solver
+//! pebbles, in the requester's own node numbering. Entries carry a
 //! quality rank, and [`SolutionCache::insert_or_upgrade`] only ever
 //! *improves* a slot: a proved [`Quality::Optimal`] (or
 //! [`Quality::Infeasible`]) result is final; an
@@ -14,23 +13,26 @@
 //! the *request's* choice ([`AcceptPolicy`]): by default only proved
 //! entries short-circuit, so a client asking for `exact` never gets a
 //! heuristic bound just because one is cached; `accept=bound` opts in
-//! to serving cached upper bounds.
+//! to serving cached upper bounds. Every hit is checked for the
+//! requester before it is served, and one that fails is dropped with
+//! [`SolutionCache::evict`].
 //!
 //! ## Crash recovery
 //!
 //! The cache snapshots to a versioned text format
 //! ([`SolutionCache::write_snapshot`]) — a `cache v1` header, then one
-//! `entry <key-hex> <canonical> <scaled-cost>` line per slot followed
-//! by the entry's embedded `solution v1` document (the same framing
-//! the wire protocol uses). Loading ([`SolutionCache::load_snapshot`])
-//! is tolerant by design: a truncated or corrupted entry is skipped
-//! and counted ([`SnapshotReport`]), never fatal, and surviving
-//! entries merge through the same monotone upgrade path as live
-//! inserts — so a restarted server keeps every proven `Optimal` it can
-//! still read, and a stale snapshot can never downgrade fresher
-//! results. Snapshot files are the server's own state (entries are
-//! served back without re-validation, like live cache entries), so
-//! they belong in a trusted state directory, not a network input.
+//! `entry <key-hex> 0 <scaled-cost>` line per slot followed by the
+//! entry's embedded `solution v1` document (the same framing the wire
+//! protocol uses). Loading ([`SolutionCache::load_snapshot`]) is
+//! tolerant by design: a truncated or corrupted entry is skipped and
+//! counted ([`SnapshotReport`]), never fatal, and surviving entries
+//! merge through the same monotone upgrade path as live inserts — so a
+//! restarted server keeps every proven `Optimal` it can still read, and
+//! a stale snapshot can never downgrade fresher results. An entry with
+//! flag `1` is skipped too: its key is a retired relabeling-invariant
+//! digest, and its trace is in another request's node ids. Snapshot
+//! files are the server's own state, so they belong in a trusted state
+//! directory, not a network input.
 //!
 //! [`Instance::canonical_key`]: rbp_core::Instance::canonical_key
 
@@ -75,7 +77,8 @@ pub struct CachedEntry {
 /// Counters describing cache behaviour since construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups that found an entry of acceptable quality, including
+    /// entries that then failed the requester's check (see `evicted`).
     pub hits: u64,
     /// Lookups that found nothing acceptable.
     pub misses: u64,
@@ -87,8 +90,12 @@ pub struct CacheStats {
     pub entries: u64,
     /// Snapshot entries successfully parsed back at load time.
     pub recovered: u64,
-    /// Snapshot entries dropped as truncated/corrupt at load time.
+    /// Snapshot entries dropped at load time: truncated, corrupt, or
+    /// under a retired key (flag `1`).
     pub skipped: u64,
+    /// Entries dropped by [`SolutionCache::evict`] because they failed a
+    /// requester's check.
+    pub evicted: u64,
 }
 
 /// What one [`SolutionCache::load_snapshot`] call managed to read.
@@ -97,8 +104,8 @@ pub struct SnapshotReport {
     /// Entries parsed and offered to the cache (an entry that loses to
     /// a strictly better live incumbent still counts as recovered).
     pub recovered: u64,
-    /// Entries dropped: truncated, corrupted, or under an unreadable
-    /// header. Never fatal.
+    /// Entries dropped: truncated, corrupted, under a retired key (flag
+    /// `1`), or under an unreadable header. Never fatal.
     pub skipped: u64,
 }
 
@@ -113,6 +120,7 @@ pub struct SolutionCache {
     upgrades: AtomicU64,
     recovered: AtomicU64,
     skipped: AtomicU64,
+    evicted: AtomicU64,
 }
 
 /// Locks the map, recovering from poisoning: map mutations are
@@ -217,6 +225,14 @@ impl SolutionCache {
         }
     }
 
+    /// Drops the entry under `key`, one that failed a requester's check,
+    /// and counts it in [`CacheStats::evicted`].
+    pub fn evict(&self, key: &CanonicalKey) {
+        if lock_map(&self.map).remove(key).is_some() {
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Serializes every entry as a `cache v1` snapshot document:
     /// stable output (entries in key-hex order), each entry an `entry`
     /// line followed by its embedded `solution v1` document.
@@ -227,13 +243,7 @@ impl SolutionCache {
         let mut out = String::with_capacity(32 + entries.len() * 256);
         let _ = writeln!(out, "cache {CACHE_SNAPSHOT_VERSION}");
         for (key, entry) in entries {
-            let _ = writeln!(
-                out,
-                "entry {} {} {}",
-                key.to_hex(),
-                key.is_relabeling_invariant() as u8,
-                entry.scaled_cost
-            );
+            let _ = writeln!(out, "entry {} 0 {}", key.to_hex(), entry.scaled_cost);
             out.push_str(&wire::write_solution(&entry.spec, &entry.solution));
         }
         out
@@ -283,10 +293,11 @@ impl SolutionCache {
     }
 
     /// Parses one entry block (`entry` line + solution document) and
-    /// offers it to the cache. Any parse failure returns `false`.
+    /// offers it to the cache. Any parse failure, and a flag other than
+    /// `0`, returns `false`.
     fn load_entry(&self, block: &[&str], first_line: usize) -> bool {
         let mut parts = block[0].split_whitespace();
-        let (Some("entry"), Some(hex), Some(canonical), Some(cost), None) = (
+        let (Some("entry"), Some(hex), Some("0"), Some(cost), None) = (
             parts.next(),
             parts.next(),
             parts.next(),
@@ -295,12 +306,7 @@ impl SolutionCache {
         ) else {
             return false;
         };
-        let canonical = match canonical {
-            "0" => false,
-            "1" => true,
-            _ => return false,
-        };
-        let Some(key) = CanonicalKey::from_hex(hex, canonical) else {
+        let Some(key) = CanonicalKey::from_hex(hex) else {
             return false;
         };
         let Ok(scaled_cost) = cost.parse::<u128>() else {
@@ -339,6 +345,7 @@ impl SolutionCache {
             entries: lock_map(&self.map).len() as u64,
             recovered: self.recovered.load(Ordering::Relaxed),
             skipped: self.skipped.load(Ordering::Relaxed),
+            evicted: self.evicted.load(Ordering::Relaxed),
         }
     }
 }
@@ -573,6 +580,56 @@ mod tests {
             SolutionCache::new().load_snapshot("total garbage\n\u{0}\u{0}"),
             SnapshotReport::default()
         );
+    }
+
+    #[test]
+    fn flag_zero_entries_load_and_hit() {
+        // an `entry` line as every version writes it for its keys:
+        // hex digest, flag 0, scaled cost, then the solution document
+        let text = format!(
+            "cache v1\nentry {} 0 3\n{}",
+            key_of(4).to_hex(),
+            wire::write_solution("exact", &sol(Quality::Optimal))
+        );
+        let fresh = SolutionCache::new();
+        let report = fresh.load_snapshot(&text);
+        assert_eq!(report.recovered, 1);
+        assert_eq!(report.skipped, 0);
+        let entry = fresh.lookup(&key_of(4), AcceptPolicy::Optimal).unwrap();
+        assert_eq!((entry.spec.as_str(), entry.scaled_cost), ("exact", 3));
+        assert_eq!(fresh.write_snapshot(), text);
+    }
+
+    #[test]
+    fn flag_one_entries_are_skipped() {
+        // flag 1 marked a relabeling-invariant key: no instance keys to
+        // it any more, and its trace is in another request's node ids
+        let text = populated().write_snapshot();
+        let line = format!("entry {} 0 ", key_of(4).to_hex());
+        assert!(text.contains(&line));
+        let retired = text.replacen(&line, &format!("entry {} 1 ", key_of(4).to_hex()), 1);
+        let fresh = SolutionCache::new();
+        let report = fresh.load_snapshot(&retired);
+        assert_eq!(
+            report,
+            SnapshotReport {
+                recovered: 1,
+                skipped: 1
+            }
+        );
+        assert!(fresh.lookup(&key_of(4), AcceptPolicy::Bound).is_none());
+        assert!(fresh.lookup(&key_of(6), AcceptPolicy::Bound).is_some());
+        assert_eq!(fresh.stats().skipped, 1);
+    }
+
+    #[test]
+    fn evicted_entries_are_gone_and_counted() {
+        let cache = populated();
+        cache.evict(&key_of(4));
+        assert!(cache.lookup(&key_of(4), AcceptPolicy::Bound).is_none());
+        cache.evict(&key_of(4)); // nothing left: not counted again
+        let s = cache.stats();
+        assert_eq!((s.evicted, s.entries), (1, 1));
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! - [`server::Server`]: bounded priority queue + worker pool +
 //!   per-request budgets/cancellation, streaming [`server::Event`]s per
 //!   job;
-//! - [`cache::SolutionCache`]: canonical-key → best-known-solution map
+//! - [`cache::SolutionCache`]: instance-key → best-known-solution map
 //!   with monotone quality (a cached heuristic bound upgrades in place
 //!   when a later solve proves optimality), keyed by
-//!   [`rbp_core::Instance::canonical_key`];
+//!   [`rbp_core::Instance::canonical_key`] of the problem the solver
+//!   pebbles; the server checks every hit for the requester;
 //! - [`protocol`]: the `submit`/`cancel`/`stats`/`shutdown` request
 //!   grammar and the response renderer, built on the `instance v1`
 //!   (`rbp_core::io`) and `solution v1` ([`rbp_solvers::wire`])

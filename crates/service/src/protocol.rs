@@ -31,7 +31,7 @@
 //! stats submitted=N completed=N solves=N queued=N panics=N
 //!       worker-restarts=N shed=N retries=N cache-entries=N
 //!       cache-hits=N cache-misses=N cache-insertions=N cache-upgrades=N
-//!       cache-recovered=N cache-skipped=N
+//!       cache-recovered=N cache-skipped=N cache-evicted=N
 //! protocol-error <message>
 //! bye
 //! ```
@@ -42,7 +42,8 @@
 //! client should back off roughly `retry-after-ms` before resubmitting;
 //! no further events arrive for a shed id. `bye` is the final line of a
 //! session. The `stats` response is a single line (wrapped above for
-//! readability).
+//! readability). `cache-evicted` counts cache hits dropped because they
+//! failed the check against the requester's problem.
 
 use crate::cache::AcceptPolicy;
 use crate::server::{Event, JobOptions, JobRequest, ServerStats};
@@ -350,7 +351,7 @@ pub fn render_event(ev: &Event) -> String {
 /// Renders the one-line `stats` response.
 pub fn render_stats(s: &ServerStats) -> String {
     format!(
-        "stats submitted={} completed={} solves={} queued={} panics={} worker-restarts={} shed={} retries={} cache-entries={} cache-hits={} cache-misses={} cache-insertions={} cache-upgrades={} cache-recovered={} cache-skipped={}\n",
+        "stats submitted={} completed={} solves={} queued={} panics={} worker-restarts={} shed={} retries={} cache-entries={} cache-hits={} cache-misses={} cache-insertions={} cache-upgrades={} cache-recovered={} cache-skipped={} cache-evicted={}\n",
         s.submitted,
         s.completed,
         s.solves,
@@ -366,6 +367,7 @@ pub fn render_stats(s: &ServerStats) -> String {
         s.cache.upgrades,
         s.cache.recovered,
         s.cache.skipped,
+        s.cache.evicted,
     )
 }
 

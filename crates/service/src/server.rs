@@ -11,7 +11,7 @@
 //! retry-after hint, so an overloaded server degrades into explicit,
 //! retryable refusals instead of unbounded convoy. Every *accepted*
 //! job still produces exactly one terminal event. Worker threads pop
-//! jobs and drive them through cache lookup → registry dispatch →
+//! jobs and drive them through registry dispatch → cache lookup →
 //! solve, sending [`Event`]s to the per-job channel the submitter
 //! supplied. Deadlines are clocked from **submission**, not solve
 //! start: time spent queued consumes the job's budget, so a stale job
@@ -46,19 +46,25 @@
 //!
 //! ## Memoization
 //!
-//! Results are keyed by [`Instance::canonical_key`]. A cache entry of
+//! The spec is parsed first, so a malformed one fails even on a cached
+//! instance. Results are keyed by [`Instance::canonical_key`] of the
+//! problem the solver pebbles ([`Solver::problem`]). A cache entry of
 //! sufficient quality (per the request's [`AcceptPolicy`]) answers
 //! without solving ([`Event::CacheHit`] then [`Event::Done`] with
-//! `cached: true`); fresh results are inserted through
-//! [`SolutionCache::insert_or_upgrade`], so a later exact solve
-//! upgrades a cached heuristic bound in place.
+//! `cached: true`) only if it answers that problem: an `Infeasible`
+//! entry an infeasible problem, any other a trace [`certify`] accepts
+//! at the claimed cost. Otherwise it is evicted and the job solved.
+//! Fresh results go through [`SolutionCache::insert_or_upgrade`], so a
+//! later exact solve upgrades a cached heuristic bound in place.
 //!
 //! [`Instance::canonical_key`]: rbp_core::Instance::canonical_key
+//! [`Solver::problem`]: rbp_solvers::Solver::problem
+//! [`certify`]: rbp_core::certify()
 
-use crate::cache::{AcceptPolicy, CacheStats, SolutionCache};
-use rbp_core::Instance;
+use crate::cache::{AcceptPolicy, CacheStats, CachedEntry, SolutionCache};
+use rbp_core::{certify, Instance};
 use rbp_solvers::{
-    panic_payload_to_string, Budget, Progress, Registry, Solution, SolveCtx, SolveError,
+    panic_payload_to_string, Budget, Progress, Quality, Registry, Solution, SolveCtx, SolveError,
 };
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap};
@@ -661,6 +667,16 @@ fn finish_job(shared: &Shared, id: &str, cancel: &Arc<AtomicBool>) {
     shared.completed.fetch_add(1, Ordering::Relaxed);
 }
 
+/// Whether a cached entry answers `problem`: an `Infeasible` entry an
+/// infeasible problem, any other a trace certified at its claimed cost.
+fn answers(problem: &Instance, entry: &CachedEntry) -> bool {
+    match entry.solution.quality {
+        Quality::Infeasible => !problem.is_feasible(),
+        _ => certify(problem, &entry.solution.trace)
+            .is_ok_and(|c| c.matches(&entry.solution.cost) && c.scaled_cost == entry.scaled_cost),
+    }
+}
+
 fn run_job(shared: &Shared, job: QueuedJob) {
     let QueuedJob {
         req,
@@ -695,25 +711,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         return;
     }
 
-    // keyed only when the cache is on: `cache=off` requests never pay
-    // for the canonical key
-    let key = req.options.use_cache.then(|| req.instance.canonical_key());
-    if let Some(key) = &key {
-        if let Some(entry) = shared.cache.lookup(key, req.options.accept) {
-            let _ = events.send(Event::CacheHit {
-                id: id.clone(),
-                spec: entry.spec.clone(),
-            });
-            guard.complete(Event::Done {
-                id,
-                spec: entry.spec,
-                cached: true,
-                solution: entry.solution,
-            });
-            return;
-        }
-    }
-
     let solver = match shared.registry.parse(&req.spec) {
         Ok(s) => s,
         Err(e) => {
@@ -725,6 +722,32 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         }
     };
     let spec = solver.spec();
+
+    // keyed only when the cache is on (`cache=off` requests never pay
+    // for the key), by the problem the solver pebbles
+    let cached = req
+        .options
+        .use_cache
+        .then(|| solver.problem(&req.instance))
+        .map(|problem| (problem.canonical_key(), problem));
+    if let Some((key, problem)) = &cached {
+        if let Some(entry) = shared.cache.lookup(key, req.options.accept) {
+            if answers(problem, &entry) {
+                let _ = events.send(Event::CacheHit {
+                    id: id.clone(),
+                    spec: entry.spec.clone(),
+                });
+                guard.complete(Event::Done {
+                    id,
+                    spec: entry.spec,
+                    cached: true,
+                    solution: entry.solution,
+                });
+                return;
+            }
+            shared.cache.evict(key);
+        }
+    }
 
     let mut budget = Budget::none().with_cancel(Arc::clone(&cancel));
     if let Some(d) = req.options.deadline {
@@ -775,8 +798,8 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 // report the cancellation and keep it out of the cache
                 Event::Cancelled { id }
             } else {
-                if let Some(key) = key {
-                    let scaled = solution.scaled_cost(&req.instance);
+                if let Some((key, problem)) = cached {
+                    let scaled = solution.scaled_cost(&problem);
                     shared
                         .cache
                         .insert_or_upgrade(key, &spec, solution.clone(), scaled);

@@ -1,12 +1,20 @@
 //! End-to-end service tests: concurrent clients over a saturated queue,
-//! deterministic cache-hit accounting, cancellation, priorities, and
-//! the quality-upgrade path (`UpperBound` → `Optimal`) observable
-//! across requests.
+//! deterministic cache-hit accounting, every served answer answering
+//! the requester (relabeled and lifted repeats, snapshot entries that
+//! fail their check, malformed specs, infeasible instances),
+//! cancellation, priorities, and the quality-upgrade path
+//! (`UpperBound` → `Optimal`) observable across requests.
 
-use rbp_core::{CostModel, Instance};
+use rbp_core::{certify, CostModel, Instance};
 use rbp_graph::{generate, DagBuilder};
-use rbp_service::{AcceptPolicy, Event, JobOptions, JobRequest, Server, ServerConfig};
-use rbp_solvers::{GreedySolver, Quality, Registry, Solution, SolveCtx, SolveError, Solver};
+use rbp_service::protocol::{render_event, render_stats};
+use rbp_service::{
+    AcceptPolicy, Event, JobOptions, JobRequest, Server, ServerConfig, SolutionCache,
+};
+use rbp_solvers::wire::{self, WireSolution};
+use rbp_solvers::{
+    registry, GreedySolver, Quality, Registry, Solution, SolveCtx, SolveError, Solver,
+};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -99,41 +107,173 @@ fn duplicates_hit_the_cache_without_resolving() {
     server.shutdown();
 }
 
-#[test]
-fn relabeled_instances_share_a_cache_slot() {
-    // the same chain under a scrambled node numbering: refinement
-    // individualizes a chain, so both submissions key identically
-    let mut b = DagBuilder::new(4);
-    for (u, v) in [(2, 0), (0, 3), (3, 1)] {
-        b.add_edge(u, v);
-    }
-    let scrambled = Instance::new(b.build().unwrap(), 2, CostModel::oneshot());
-    let straight = Instance::new(generate::chain(4), 2, CostModel::oneshot());
-    assert_eq!(straight.canonical_key(), scrambled.canonical_key());
+// ---------------------------------------------------------------------
+// Every served answer answers the requester. Each scenario below runs
+// init (a fresh one-worker server) → actions (submit, resubmit) →
+// read_state (the `result` line and `solution v1` document a client
+// reads back, and the `stats` line).
+// ---------------------------------------------------------------------
 
-    let server = Server::start(ServerConfig {
+/// init: a one-worker server, so jobs run in submission order.
+fn init() -> Server {
+    Server::start(ServerConfig {
         workers: 1,
         queue_capacity: 4,
         ..ServerConfig::default()
-    });
+    })
+}
+
+/// action: submits one job and waits for its terminal event.
+fn act(server: &Server, id: &str, spec: &str, instance: &Instance) -> Event {
     let rx = server
         .submit_collect(JobRequest {
-            id: "straight".into(),
-            spec: "exact".into(),
-            instance: straight,
+            id: id.to_string(),
+            spec: spec.to_string(),
+            instance: instance.clone(),
             options: JobOptions::default(),
         })
         .unwrap();
-    assert!(matches!(terminal(&rx), Event::Done { cached: false, .. }));
-    let rx = server
-        .submit_collect(JobRequest {
-            id: "scrambled".into(),
-            spec: "exact".into(),
-            instance: scrambled,
-            options: JobOptions::default(),
-        })
-        .unwrap();
-    assert!(matches!(terminal(&rx), Event::Done { cached: true, .. }));
+    terminal(&rx)
+}
+
+/// read_state: the `cached` flag of the `result` line and the served
+/// `solution v1` document, parsed back as a client would.
+fn read_answer(ev: &Event) -> (bool, WireSolution) {
+    let text = render_event(ev);
+    let (head, doc) = text.split_once('\n').expect("a result line and a document");
+    assert!(head.starts_with("result "), "{text}");
+    let cached = head.ends_with(" cached=true");
+    (
+        cached,
+        wire::parse_solution(doc).expect("served document parses"),
+    )
+}
+
+/// The served trace certifies against `instance` at the cost it claims.
+fn assert_certifies(instance: &Instance, served: &WireSolution) {
+    let cert = certify(instance, &served.solution.trace).expect("served trace certifies");
+    assert!(cert.matches(&served.solution.cost), "{cert:?}");
+}
+
+fn dag4(edges: &[(usize, usize)]) -> Instance {
+    let mut b = DagBuilder::new(4);
+    for &(u, v) in edges {
+        b.add_edge(u, v);
+    }
+    Instance::new(b.build().unwrap(), 2, CostModel::oneshot())
+}
+
+/// pyramid(3) under nodel at R = 3: the classic optimum is 5, the
+/// two-processor optimum 4.
+fn pyramid3_nodel() -> Instance {
+    Instance::new(rbp_gadgets::pyramid::build(3).dag, 3, CostModel::nodel())
+}
+
+#[test]
+fn a_relabeled_repeat_is_solved_in_its_own_node_ids() {
+    let server = init();
+    let straight = dag4(&[(0, 1), (1, 2), (2, 3)]);
+    // the same chain under the relabeling 0→2, 1→0, 2→3, 3→1
+    let relabeled = dag4(&[(2, 0), (0, 3), (3, 1)]);
+    let (cached, first) = read_answer(&act(&server, "a1", "exact", &straight));
+    assert!(!cached);
+    assert_certifies(&straight, &first);
+    let (cached, second) = read_answer(&act(&server, "a2", "exact", &relabeled));
+    assert!(!cached, "another edge set is another problem");
+    assert_certifies(&relabeled, &second);
+    let stats = server.stats();
+    assert_eq!(
+        (stats.solves, stats.cache.hits, stats.cache.entries),
+        (2, 0, 2)
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_lifted_answer_never_answers_the_classic_game() {
+    let server = init();
+    let pyramid = pyramid3_nodel();
+    let (cached, lifted) = read_answer(&act(&server, "b1", "exact@mpp:2", &pyramid));
+    assert!(!cached);
+    assert_eq!(lifted.solution.scaled_cost(&pyramid.with_procs(2)), 4);
+    let (cached, classic) = read_answer(&act(&server, "b2", "exact", &pyramid));
+    assert!(!cached, "the p = 2 answer sits under the p = 2 key");
+    assert!(classic.solution.is_optimal());
+    assert_eq!(classic.solution.scaled_cost(&pyramid), 5);
+    assert_certifies(&pyramid, &classic);
+    let (cached, again) = read_answer(&act(&server, "b3", "exact@mpp:2", &pyramid));
+    assert!(cached);
+    assert_eq!(again.spec, "exact@mpp:2");
+    assert_certifies(&pyramid.with_procs(2), &again);
+    let stats = server.stats();
+    assert_eq!(
+        (stats.solves, stats.cache.hits, stats.cache.entries),
+        (2, 1, 2)
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_snapshot_entry_that_fails_its_check_is_evicted_and_solved() {
+    // what a server that keyed by the document wrote after `exact@mpp:2`
+    // on pyramid(3): a p = 2 trace under the classic key, flag 0
+    let pyramid = pyramid3_nodel();
+    let lifted = registry::solve("exact@mpp:2", &pyramid).unwrap();
+    let old = SolutionCache::new();
+    let scaled = lifted.scaled_cost(&pyramid);
+    old.insert_or_upgrade(pyramid.canonical_key(), "exact@mpp:2", lifted, scaled);
+    let snapshot = old.write_snapshot();
+    assert!(snapshot.contains(&format!("entry {} 0 4\n", pyramid.canonical_key())));
+
+    let server = init();
+    assert_eq!(server.cache().load_snapshot(&snapshot).recovered, 1);
+    let (cached, served) = read_answer(&act(&server, "c1", "exact", &pyramid));
+    assert!(!cached, "the p = 2 trace is no classic schedule");
+    assert_eq!(served.spec, "exact");
+    assert!(served.solution.is_optimal());
+    assert_eq!(served.solution.scaled_cost(&pyramid), 5);
+    assert_certifies(&pyramid, &served);
+    let stats = render_stats(&server.stats());
+    assert!(stats.contains(" solves=1 "), "{stats}");
+    assert!(stats.contains(" cache-evicted=1\n"), "{stats}");
+    let (cached, again) = read_answer(&act(&server, "c2", "exact", &pyramid));
+    assert!(cached);
+    assert_certifies(&pyramid, &again);
+    assert_eq!(server.stats().cache.evicted, 1);
+    server.shutdown();
+}
+
+#[test]
+fn a_malformed_spec_fails_even_on_a_cached_instance() {
+    let server = init();
+    let chain = Instance::new(generate::chain(5), 2, CostModel::oneshot());
+    let (cached, _) = read_answer(&act(&server, "a", "exact", &chain));
+    assert!(!cached);
+    match act(&server, "b", "exat", &chain) {
+        Event::Failed { error, .. } => assert!(error.contains("exat"), "{error}"),
+        other => panic!("a malformed spec must fail, got {other:?}"),
+    }
+    let stats = server.stats();
+    assert_eq!((stats.solves, stats.cache.hits), (1, 0));
+    server.shutdown();
+}
+
+#[test]
+fn an_infeasible_answer_is_served_from_the_cache() {
+    let server = init();
+    // R = 1 cannot hold a node together with its input
+    let chain = Instance::new(generate::chain(4), 1, CostModel::oneshot());
+    assert!(!chain.is_feasible());
+    for (id, expect_cached) in [("i1", false), ("i2", true)] {
+        let (cached, served) = read_answer(&act(&server, id, "exact", &chain));
+        assert_eq!(cached, expect_cached);
+        assert_eq!(served.solution.quality, Quality::Infeasible);
+    }
+    let stats = server.stats();
+    assert_eq!(
+        (stats.solves, stats.cache.hits, stats.cache.evicted),
+        (1, 1, 0)
+    );
     server.shutdown();
 }
 

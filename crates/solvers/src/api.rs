@@ -394,6 +394,13 @@ pub trait Solver: Send + Sync {
         self.name().to_string()
     }
 
+    /// The problem this solver pebbles when handed `instance`, the one
+    /// its answer is keyed, priced and certified against: the instance
+    /// itself, or (`exact@mpp:P`, `greedy@mpp:P`) its `:P` lift.
+    fn problem(&self, instance: &Instance) -> Instance {
+        instance.clone()
+    }
+
     /// Solves the instance under the given context.
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError>;
 

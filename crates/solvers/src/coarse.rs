@@ -98,6 +98,17 @@ impl CoarseSolver {
             },
         }
     }
+
+    /// The number of groups to stitch, or `None` when the whole instance
+    /// goes to the inner solver: one group means nothing to stitch (this
+    /// is what pins `coarse:1/exact` to the exact optimum), and the
+    /// stitcher builds single-processor schedules only.
+    fn groups(&self, instance: &Instance) -> Option<usize> {
+        let n = instance.dag().n();
+        let k = self.cfg.k.unwrap_or_else(|| n.div_ceil(DEFAULT_GROUP_SIZE));
+        let k = k.max(1).min(n.max(1));
+        (k > 1 && instance.mpp().is_none()).then_some(k)
+    }
 }
 
 impl Default for CoarseSolver {
@@ -162,23 +173,22 @@ impl Solver for CoarseSolver {
         }
     }
 
+    /// The inner solver's problem when the whole instance goes to it;
+    /// a stitched trace is a schedule of the instance itself.
+    fn problem(&self, instance: &Instance) -> Instance {
+        match registry::solver(&self.cfg.inner) {
+            Ok(inner) if self.groups(instance).is_none() => inner.problem(instance),
+            _ => instance.clone(),
+        }
+    }
+
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
         bounds::check_feasible(instance)?;
         let inner = registry::solver(&self.cfg.inner)?;
-        let n = instance.dag().n();
-        let k = self
-            .cfg
-            .k
-            .unwrap_or_else(|| n.div_ceil(DEFAULT_GROUP_SIZE))
-            .max(1)
-            .min(n.max(1));
-        // Whole-instance delegation: one group means nothing to stitch
-        // (this is what pins `coarse:1/exact` to the exact optimum),
-        // and the stitcher builds single-processor schedules only, so
-        // multiprocessor instances go to the inner solver untouched.
-        if k <= 1 || instance.procs() > 1 || instance.mpp().is_some() {
+        let Some(k) = self.groups(instance) else {
             return inner.solve(instance, ctx);
-        }
+        };
+        let n = instance.dag().n();
 
         let dag = instance.dag();
         let nodel = instance.model().kind() == rbp_core::ModelKind::NoDel;
@@ -347,6 +357,24 @@ mod tests {
         };
         let sol = coarse.solve_default(&inst).unwrap();
         assert!(sol.trace.has_proc_tags() || sol.cost.transfers > 0 || sol.cost.computes > 0);
+    }
+
+    #[test]
+    fn problem_is_the_inner_problem_only_when_delegating() {
+        let inst = Instance::new(generate::chain(8), 2, CostModel::base());
+        let coarse = |k| CoarseSolver {
+            cfg: CoarseConfig {
+                k: Some(k),
+                inner: "exact@mpp:2".to_string(),
+            },
+        };
+        // one group: the inner solver pebbles the whole (lifted) instance
+        assert_eq!(coarse(1).problem(&inst).procs(), 2);
+        // stitched groups: the answer is a schedule of the instance itself
+        assert_eq!(
+            coarse(4).problem(&inst).canonical_key(),
+            inst.canonical_key()
+        );
     }
 
     #[test]

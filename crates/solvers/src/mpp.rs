@@ -262,8 +262,13 @@ impl Solver for ExactMppSolver {
         }
     }
 
+    fn problem(&self, instance: &Instance) -> Instance {
+        self.procs
+            .map_or_else(|| instance.clone(), |p| instance.with_procs(p))
+    }
+
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        let inst = with_procs_override(instance, self.procs);
+        let inst = self.problem(instance);
         let mut sol = run_exact_family(&inst, self.cfg, inst.procs(), true, ctx)?;
         add_mpp_stats(&inst, &sol.trace, &mut sol.stats);
         Ok(sol)
@@ -302,21 +307,17 @@ impl Solver for GreedyMppSolver {
         }
     }
 
+    fn problem(&self, instance: &Instance) -> Instance {
+        self.procs
+            .map_or_else(|| instance.clone(), |p| instance.with_procs(p))
+    }
+
     fn solve(&self, instance: &Instance, _ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        let inst = with_procs_override(instance, self.procs);
+        let inst = self.problem(instance);
         let trace = solve_greedy_mpp(&inst)?;
         let mut stats = Stats::new();
         add_mpp_stats(&inst, &trace, &mut stats);
         Solution::replay(&inst, trace, false, stats)
-    }
-}
-
-/// The instance an `@mpp:P` spec solves: `instance` with its processor
-/// count overridden, or as given.
-fn with_procs_override(instance: &Instance, procs: Option<u32>) -> Instance {
-    match procs {
-        Some(p) => instance.with_procs(p),
-        None => instance.clone(),
     }
 }
 
@@ -534,6 +535,35 @@ mod tests {
         assert!(sol.stats.get("mpp_time_scaled").is_some());
         let sol = GreedyMppSolver::with_procs(2).solve_default(&inst).unwrap();
         assert_eq!(sol.stats.get("procs"), Some(2));
+    }
+
+    #[test]
+    fn problem_applies_the_processor_override() {
+        let inst = Instance::new(generate::chain(4), 2, CostModel::base());
+        let lifted = inst.with_procs(2);
+        for solver in [
+            &ExactMppSolver::with_procs(2) as &dyn Solver,
+            &GreedyMppSolver::with_procs(2),
+        ] {
+            assert_eq!(
+                solver.problem(&inst).canonical_key(),
+                lifted.canonical_key()
+            );
+            // the answer is a schedule of exactly that problem
+            let sol = solver.solve_default(&inst).unwrap();
+            assert!(rbp_core::certify(&solver.problem(&inst), &sol.trace).is_ok());
+        }
+        // no override: the instance's own processor count
+        for solver in [
+            &ExactMppSolver::new() as &dyn Solver,
+            &GreedyMppSolver::new(),
+        ] {
+            assert_eq!(solver.problem(&inst).canonical_key(), inst.canonical_key());
+            assert_eq!(
+                solver.problem(&lifted).canonical_key(),
+                lifted.canonical_key()
+            );
+        }
     }
 
     #[test]

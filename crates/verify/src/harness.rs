@@ -11,6 +11,8 @@
 //! | [`Invariant::HeuristicDominated`] | every heuristic cost ≥ the optimum |
 //! | [`Invariant::DegradedBracket`] | budget-degraded `UpperBound`: `lower_bound ≤ optimum ≤ cost` |
 //! | [`Invariant::CacheIdentity`] | a cache hit is byte-identical to the solution inserted |
+//! | [`Invariant::CacheCrossSpec`] | with every spec's answer in one cache, keyed by the problem the spec pebbles, each spec's hit certifies against that problem, and an `Optimal` hit equals its optimum |
+//! | [`Invariant::CacheRelabel`] | a hit for a seeded relabeling π(I) of the instance certifies against π(I) |
 //! | [`Invariant::InstanceRoundTrip`] | `write ∘ parse ∘ write` is identity for `instance v1` |
 //! | [`Invariant::SolutionRoundTrip`] | `write ∘ parse ∘ write` is identity for `solution v1` |
 //! | [`Invariant::Certification`] | the independent certifier accepts every returned trace at the exact claimed cost |
@@ -21,10 +23,15 @@
 //! is measured against it. A violation of *any* row is reported as a
 //! [`Violation`] and minimized by [`mod@crate::shrink`].
 
+use crate::shrink::with_dag;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use rbp_core::{bounds, certify, io, Instance};
+use rbp_graph::DagBuilder;
 use rbp_service::cache::{AcceptPolicy, SolutionCache};
 use rbp_solvers::api::{Budget, Solution, SolveCtx};
-use rbp_solvers::{registry, wire, SolveError};
+use rbp_solvers::{registry, wire, Quality, SolveError};
 use std::fmt;
 
 /// The registry specs the harness differentials across — every solver
@@ -56,6 +63,11 @@ pub enum Invariant {
     DegradedBracket,
     /// A cache hit returned bytes different from the inserted solution.
     CacheIdentity,
+    /// With every answer in one cache, a spec's hit failed to certify
+    /// against its problem, or an `Optimal` hit missed its optimum.
+    CacheCrossSpec,
+    /// A hit for a relabeled instance failed to certify against it.
+    CacheRelabel,
     /// The `instance v1` wire round-trip is not the identity.
     InstanceRoundTrip,
     /// The `solution v1` wire round-trip is not the identity.
@@ -83,6 +95,8 @@ impl Invariant {
             Invariant::HeuristicDominated => "heuristic-dominated",
             Invariant::DegradedBracket => "degraded-bracket",
             Invariant::CacheIdentity => "cache-identity",
+            Invariant::CacheCrossSpec => "cache-cross-spec",
+            Invariant::CacheRelabel => "cache-relabel",
             Invariant::InstanceRoundTrip => "instance-round-trip",
             Invariant::SolutionRoundTrip => "solution-round-trip",
             Invariant::Certification => "certification",
@@ -183,33 +197,53 @@ impl InstanceOutcome {
     pub fn clean(&self) -> bool {
         self.violations.is_empty()
     }
+
+    /// Records a violation of `invariant` by `spec`.
+    fn violate(&mut self, invariant: Invariant, spec: impl Into<String>, detail: String) {
+        self.violations.push(Violation {
+            invariant,
+            spec: spec.into(),
+            detail,
+        });
+    }
 }
 
-/// Certifies one solution with the independent interpreter, recording a
-/// [`Invariant::Certification`] violation on rejection or cost
-/// disagreement.
-fn certify_solution(instance: &Instance, spec: &str, sol: &Solution, out: &mut InstanceOutcome) {
-    match certify::certify(instance, &sol.trace) {
-        Ok(cert) => {
-            if !cert.matches(&sol.cost) {
-                out.violations.push(Violation {
-                    invariant: Invariant::Certification,
-                    spec: spec.to_string(),
-                    detail: format!(
-                        "certifier recomputed (t={}, c={}) but solver claimed (t={}, c={})",
-                        cert.transfers, cert.computes, sol.cost.transfers, sol.cost.computes
-                    ),
-                });
-            } else {
-                out.certified += 1;
-            }
-        }
-        Err(e) => out.violations.push(Violation {
-            invariant: Invariant::Certification,
-            spec: spec.to_string(),
-            detail: format!("certifier rejected the trace: {e}"),
-        }),
+/// Certifies `sol` against `instance` with the independent interpreter:
+/// the certified scaled cost, or why the trace is rejected or certifies
+/// at another cost than the solver claimed.
+fn certified_cost(instance: &Instance, sol: &Solution) -> Result<u128, String> {
+    let cert = certify::certify(instance, &sol.trace)
+        .map_err(|e| format!("certifier rejected the trace: {e}"))?;
+    if !cert.matches(&sol.cost) {
+        return Err(format!(
+            "certifier recomputed (t={}, c={}) but solver claimed (t={}, c={})",
+            cert.transfers, cert.computes, sol.cost.transfers, sol.cost.computes
+        ));
     }
+    Ok(cert.scaled_cost)
+}
+
+/// Certifies one solution, recording a [`Invariant::Certification`]
+/// violation on rejection or cost disagreement.
+fn certify_solution(instance: &Instance, spec: &str, sol: &Solution, out: &mut InstanceOutcome) {
+    match certified_cost(instance, sol) {
+        Ok(_) => out.certified += 1,
+        Err(detail) => out.violate(Invariant::Certification, spec, detail),
+    }
+}
+
+/// `instance` with its nodes renumbered by a permutation drawn from
+/// `seed`.
+fn relabeled(instance: &Instance, seed: u64) -> Instance {
+    let dag = instance.dag();
+    let mut perm: Vec<usize> = (0..dag.n()).collect();
+    perm.shuffle(&mut StdRng::seed_from_u64(seed));
+    let mut b = DagBuilder::new(dag.n());
+    for (u, v) in dag.edges() {
+        b.add_edge(perm[u.index()], perm[v.index()]);
+    }
+    let dag = b.build().expect("a renumbered DAG is still a DAG");
+    with_dag(instance, dag)
 }
 
 /// Runs the full invariant lattice over one instance.
@@ -226,11 +260,11 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
     let anchor = match registry::solve("exact", instance) {
         Ok(sol) => sol,
         Err(e) => {
-            out.violations.push(Violation {
-                invariant: Invariant::SolverError,
-                spec: "exact".to_string(),
-                detail: format!("anchor solve failed on a feasible instance: {e}"),
-            });
+            out.violate(
+                Invariant::SolverError,
+                "exact",
+                format!("anchor solve failed on a feasible instance: {e}"),
+            );
             return out; // nothing to differential against
         }
     };
@@ -242,15 +276,19 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
     // every cost and bound below is priced with the instance's own
     // weights, the units `Quality::UpperBound::lower_bound` carries
     let opt = anchor.scaled_cost(instance);
+    // every answer, with the optimum of the problem its spec pebbles
+    // when one is known, for the shared-cache rows at the end
+    let mut answers: Vec<(String, Solution, Option<u128>)> =
+        vec![("exact".to_string(), anchor.clone(), anchored.then_some(opt))];
 
     // -- the structural lower bound must not exceed the optimum ---------
     let structural_lb = instance.scaled_cost(&bounds::best_lower_bound(instance));
     if anchored && structural_lb > opt {
-        out.violations.push(Violation {
-            invariant: Invariant::DegradedBracket,
-            spec: "bounds::best_lower_bound".to_string(),
-            detail: format!("structural lower bound {structural_lb} exceeds optimum {opt}"),
-        });
+        out.violate(
+            Invariant::DegradedBracket,
+            "bounds::best_lower_bound",
+            format!("structural lower bound {structural_lb} exceeds optimum {opt}"),
+        );
     }
 
     // -- every other spec, differentialled against the anchor -----------
@@ -267,11 +305,11 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
             // incumbent, so a state cap or budget expiry legally errors.
             Err(SolveError::StateLimitExceeded { .. }) | Err(SolveError::Interrupted) => continue,
             Err(e) => {
-                out.violations.push(Violation {
-                    invariant: Invariant::SolverError,
-                    spec: spec.to_string(),
-                    detail: format!("errored on a feasible instance: {e}"),
-                });
+                out.violate(
+                    Invariant::SolverError,
+                    spec,
+                    format!("errored on a feasible instance: {e}"),
+                );
                 continue;
             }
         };
@@ -279,80 +317,64 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
         let cost = sol.scaled_cost(instance);
         if sol.is_optimal() {
             if anchored && cost != opt {
-                out.violations.push(Violation {
-                    invariant: Invariant::OptimalAgreement,
-                    spec: spec.to_string(),
-                    detail: format!("claims Optimal at {cost}, exact found {opt}"),
-                });
+                out.violate(
+                    Invariant::OptimalAgreement,
+                    spec,
+                    format!("claims Optimal at {cost}, exact found {opt}"),
+                );
             }
         } else if anchored && cost < opt {
-            out.violations.push(Violation {
-                invariant: Invariant::HeuristicDominated,
-                spec: spec.to_string(),
-                detail: format!("heuristic cost {cost} beats the proved optimum {opt}"),
-            });
+            out.violate(
+                Invariant::HeuristicDominated,
+                spec,
+                format!("heuristic cost {cost} beats the proved optimum {opt}"),
+            );
         }
-        if let rbp_solvers::Quality::UpperBound { lower_bound } = sol.quality {
+        if let Quality::UpperBound { lower_bound } = sol.quality {
             if anchored && spec.starts_with("coarse") && !(lower_bound <= opt && opt <= cost) {
-                out.violations.push(Violation {
-                    invariant: Invariant::CoarseBracket,
-                    spec: spec.to_string(),
-                    detail: format!(
-                        "bracket [{lower_bound}, {cost}] does not contain optimum {opt}"
-                    ),
-                });
+                out.violate(
+                    Invariant::CoarseBracket,
+                    spec,
+                    format!("bracket [{lower_bound}, {cost}] does not contain optimum {opt}"),
+                );
             }
         }
+        answers.push((spec.to_string(), sol, anchored.then_some(opt)));
     }
 
     // -- budget degradation: the bracket must stay sound ----------------
     out.solves += 1;
     let ctx = SolveCtx::new(Budget::none().with_max_expansions(cfg.degraded_max_expansions));
     match registry::solve_with("exact", instance, &ctx) {
-        Ok(sol) if anchored => {
+        Ok(sol) => {
             certify_solution(instance, "exact(degraded)", &sol, &mut out);
             let cost = sol.scaled_cost(instance);
-            match sol.quality {
-                rbp_solvers::Quality::Optimal => {
-                    if cost != opt {
-                        out.violations.push(Violation {
-                            invariant: Invariant::DegradedBracket,
-                            spec: "exact(degraded)".to_string(),
-                            detail: format!("degraded solve claims Optimal at {cost} != {opt}"),
-                        });
-                    }
+            let detail = match sol.quality {
+                // no trusted optimum: certification is all that is checkable
+                _ if !anchored => None,
+                Quality::Optimal if cost != opt => {
+                    Some(format!("degraded solve claims Optimal at {cost} != {opt}"))
                 }
-                rbp_solvers::Quality::UpperBound { lower_bound } => {
-                    if !(lower_bound <= opt && opt <= cost) {
-                        out.violations.push(Violation {
-                            invariant: Invariant::DegradedBracket,
-                            spec: "exact(degraded)".to_string(),
-                            detail: format!(
-                                "bracket [{lower_bound}, {cost}] does not contain optimum {opt}"
-                            ),
-                        });
-                    }
+                Quality::UpperBound { lower_bound } if !(lower_bound <= opt && opt <= cost) => {
+                    Some(format!(
+                        "bracket [{lower_bound}, {cost}] does not contain optimum {opt}"
+                    ))
                 }
-                rbp_solvers::Quality::Infeasible => {
-                    out.violations.push(Violation {
-                        invariant: Invariant::DegradedBracket,
-                        spec: "exact(degraded)".to_string(),
-                        detail: "degraded solve reported Infeasible on a feasible instance"
-                            .to_string(),
-                    });
+                Quality::Infeasible => {
+                    Some("degraded solve reported Infeasible on a feasible instance".to_string())
                 }
+                _ => None,
+            };
+            if let Some(detail) = detail {
+                out.violate(Invariant::DegradedBracket, "exact(degraded)", detail);
             }
         }
-        Ok(sol) => {
-            // no trusted optimum: certification is still checkable
-            certify_solution(instance, "exact(degraded)", &sol, &mut out);
-        }
         Err(SolveError::Interrupted) => {} // legal without an incumbent
-        Err(e) => out.violations.push(Violation {
-            invariant: Invariant::SolverError,
-            spec: "exact(degraded)".to_string(),
-            detail: format!("degraded solve errored: {e}"),
-        }),
+        Err(e) => out.violate(
+            Invariant::SolverError,
+            "exact(degraded)",
+            format!("degraded solve errored: {e}"),
+        ),
     }
 
     // -- the multiprocessor lattice: lift classic instances over p ------
@@ -372,28 +394,28 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
                         continue
                     }
                     Err(e) => {
-                        out.violations.push(Violation {
-                            invariant: Invariant::SolverError,
-                            spec: spec.clone(),
-                            detail: format!("errored on a feasible instance: {e}"),
-                        });
+                        out.violate(
+                            Invariant::SolverError,
+                            spec.clone(),
+                            format!("errored on a feasible instance: {e}"),
+                        );
                         continue;
                     }
                 };
                 certify_solution(&lifted, &spec, &sol, &mut out);
                 let cost = sol.scaled_cost(&lifted);
-                if !sol.is_optimal() {
+                let optimal = sol.is_optimal();
+                answers.push((spec.clone(), sol, optimal.then_some(cost)));
+                if !optimal {
                     continue; // degraded: no optimum to hang laws on
                 }
                 chain.push((p, cost));
                 if p == 1 && cost != opt {
-                    out.violations.push(Violation {
-                        invariant: Invariant::MppMonotone,
-                        spec: spec.clone(),
-                        detail: format!(
-                            "single-processor mpp optimum {cost} != classic optimum {opt}"
-                        ),
-                    });
+                    out.violate(
+                        Invariant::MppMonotone,
+                        spec.clone(),
+                        format!("single-processor mpp optimum {cost} != classic optimum {opt}"),
+                    );
                 }
                 let gspec = format!("greedy@mpp:{p}");
                 out.solves += 1;
@@ -402,32 +424,33 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
                         certify_solution(&lifted, &gspec, &g, &mut out);
                         let gcost = g.scaled_cost(&lifted);
                         if gcost < cost {
-                            out.violations.push(Violation {
-                                invariant: Invariant::HeuristicDominated,
-                                spec: gspec,
-                                detail: format!(
+                            out.violate(
+                                Invariant::HeuristicDominated,
+                                gspec.clone(),
+                                format!(
                                     "greedy cost {gcost} beats the mpp optimum {cost} at p={p}"
                                 ),
-                            });
+                            );
                         }
+                        answers.push((gspec, g, Some(cost)));
                     }
-                    Err(e) => out.violations.push(Violation {
-                        invariant: Invariant::SolverError,
-                        spec: gspec,
-                        detail: format!("errored on a feasible instance: {e}"),
-                    }),
+                    Err(e) => out.violate(
+                        Invariant::SolverError,
+                        gspec,
+                        format!("errored on a feasible instance: {e}"),
+                    ),
                 }
             }
             for w in chain.windows(2) {
                 let ((p_lo, c_lo), (p_hi, c_hi)) = (w[0], w[1]);
                 if c_hi > c_lo {
-                    out.violations.push(Violation {
-                        invariant: Invariant::MppMonotone,
-                        spec: format!("exact@mpp:{p_lo} vs exact@mpp:{p_hi}"),
-                        detail: format!(
+                    out.violate(
+                        Invariant::MppMonotone,
+                        format!("exact@mpp:{p_lo} vs exact@mpp:{p_hi}"),
+                        format!(
                             "optimum rose with processors: {c_lo} at p={p_lo}, {c_hi} at p={p_hi}"
                         ),
-                    });
+                    );
                 }
             }
         } else {
@@ -436,12 +459,15 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
             let lifted = instance.with_procs(2);
             out.solves += 1;
             match registry::solve("greedy@mpp:2", instance) {
-                Ok(sol) => certify_solution(&lifted, "greedy@mpp:2", &sol, &mut out),
-                Err(e) => out.violations.push(Violation {
-                    invariant: Invariant::SolverError,
-                    spec: "greedy@mpp:2".to_string(),
-                    detail: format!("errored on a feasible instance: {e}"),
-                }),
+                Ok(sol) => {
+                    certify_solution(&lifted, "greedy@mpp:2", &sol, &mut out);
+                    answers.push(("greedy@mpp:2".to_string(), sol, None));
+                }
+                Err(e) => out.violate(
+                    Invariant::SolverError,
+                    "greedy@mpp:2",
+                    format!("errored on a feasible instance: {e}"),
+                ),
             }
         }
     }
@@ -451,23 +477,48 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
     let key = instance.canonical_key();
     let fresh_bytes = wire::write_solution("exact", &anchor);
     cache.insert_or_upgrade(key, "exact", anchor.clone(), opt);
-    match cache.lookup(&key, AcceptPolicy::Bound) {
-        Some(entry) => {
-            let hit_bytes = wire::write_solution(&entry.spec, &entry.solution);
-            if hit_bytes != fresh_bytes {
-                out.violations.push(Violation {
-                    invariant: Invariant::CacheIdentity,
-                    spec: "cache".to_string(),
-                    detail: "cache hit serialized differently from the inserted solution"
-                        .to_string(),
-                });
-            }
+    let hit = cache.lookup(&key, AcceptPolicy::Bound);
+    let hit_bytes = hit.map(|e| wire::write_solution(&e.spec, &e.solution));
+    if hit_bytes.as_ref() != Some(&fresh_bytes) {
+        let detail = "the inserted key missed, or its hit serialized differently";
+        out.violate(Invariant::CacheIdentity, "cache", detail.to_string());
+    }
+
+    // -- one cache for every answer, looked up per spec and relabeled ---
+    // Each answer is keyed by the problem its spec pebbles, inserted in
+    // an order rotated by a seed drawn from the instance (which spec's
+    // answer holds a shared slot varies), and must answer every lookup.
+    let seed = key.digest()[0];
+    let problem_of = |spec: &str, inst: &Instance| {
+        registry::solver(spec)
+            .expect("harness specs parse")
+            .problem(inst)
+    };
+    let problems: Vec<Instance> = answers.iter().map(|a| problem_of(&a.0, instance)).collect();
+    let shared = SolutionCache::new();
+    for i in (0..answers.len()).map(|i| (i + seed as usize % answers.len()) % answers.len()) {
+        let (spec, sol, _) = &answers[i];
+        let scaled = sol.scaled_cost(&problems[i]);
+        shared.insert_or_upgrade(problems[i].canonical_key(), spec, sol.clone(), scaled);
+    }
+    let moved = relabeled(instance, seed);
+    for ((spec, _, optimum), own) in answers.iter().zip(problems) {
+        for (invariant, problem, optimum) in [
+            (Invariant::CacheCrossSpec, own, *optimum),
+            (Invariant::CacheRelabel, problem_of(spec, &moved), None),
+        ] {
+            let Some(hit) = shared.lookup(&problem.canonical_key(), AcceptPolicy::Bound) else {
+                continue;
+            };
+            let detail = match (certified_cost(&problem, &hit.solution), optimum) {
+                (Err(e), _) => format!("hit from {}: {e}", hit.spec),
+                (Ok(cost), Some(opt)) if hit.solution.is_optimal() && cost != opt => {
+                    format!("Optimal hit from {} at {cost}, optimum {opt}", hit.spec)
+                }
+                _ => continue,
+            };
+            out.violate(invariant, spec, detail);
         }
-        None => out.violations.push(Violation {
-            invariant: Invariant::CacheIdentity,
-            spec: "cache".to_string(),
-            detail: "freshly inserted key missed on lookup".to_string(),
-        }),
     }
 
     // -- wire round-trips are identities --------------------------------
@@ -475,34 +526,34 @@ pub fn check_instance(instance: &Instance, cfg: &HarnessConfig) -> InstanceOutco
     match io::parse_instance(&doc) {
         Ok(parsed) => {
             if io::write_instance(&parsed) != doc || !io::same_instance(instance, &parsed) {
-                out.violations.push(Violation {
-                    invariant: Invariant::InstanceRoundTrip,
-                    spec: "instance v1".to_string(),
-                    detail: "write ∘ parse ∘ write is not the identity".to_string(),
-                });
+                out.violate(
+                    Invariant::InstanceRoundTrip,
+                    "instance v1",
+                    "write ∘ parse ∘ write is not the identity".to_string(),
+                );
             }
         }
-        Err(e) => out.violations.push(Violation {
-            invariant: Invariant::InstanceRoundTrip,
-            spec: "instance v1".to_string(),
-            detail: format!("own serialization failed to parse: {e}"),
-        }),
+        Err(e) => out.violate(
+            Invariant::InstanceRoundTrip,
+            "instance v1",
+            format!("own serialization failed to parse: {e}"),
+        ),
     }
     match wire::parse_solution(&fresh_bytes) {
         Ok(ws) => {
             if wire::write_solution(&ws.spec, &ws.solution) != fresh_bytes {
-                out.violations.push(Violation {
-                    invariant: Invariant::SolutionRoundTrip,
-                    spec: "solution v1".to_string(),
-                    detail: "write ∘ parse ∘ write is not the identity".to_string(),
-                });
+                out.violate(
+                    Invariant::SolutionRoundTrip,
+                    "solution v1",
+                    "write ∘ parse ∘ write is not the identity".to_string(),
+                );
             }
         }
-        Err(e) => out.violations.push(Violation {
-            invariant: Invariant::SolutionRoundTrip,
-            spec: "solution v1".to_string(),
-            detail: format!("own serialization failed to parse: {e}"),
-        }),
+        Err(e) => out.violate(
+            Invariant::SolutionRoundTrip,
+            "solution v1",
+            format!("own serialization failed to parse: {e}"),
+        ),
     }
 
     out

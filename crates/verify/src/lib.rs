@@ -13,8 +13,9 @@
 //!   spec is run over each instance and checked against the exact
 //!   optimum (`Optimal` agreement for every spec, `reference` and
 //!   `exact:unseeded` included, heuristic domination,
-//!   budget-degradation brackets, cache-hit byte identity, wire
-//!   round-trip identity), with every returned trace re-executed by the
+//!   budget-degradation brackets, cache hits that are byte-identical
+//!   and certify across specs and relabelings, wire round-trip
+//!   identity), with every returned trace re-executed by the
 //!   **independent certifier** ([`mod@rbp_core::certify`]) that shares
 //!   no code with the solvers or the engine;
 //! - [`mod@shrink`]: greedy minimization of any violating DAG, persisted as

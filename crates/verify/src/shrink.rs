@@ -50,11 +50,15 @@ fn remove_edge(dag: &Dag, skip: usize) -> Option<Dag> {
     b.build().ok()
 }
 
-/// Same parameters, different DAG.
-fn with_dag(instance: &Instance, dag: Dag) -> Instance {
-    Instance::new(dag, instance.red_limit(), instance.model())
+/// Same parameters, MPP dimension included, different DAG.
+pub(crate) fn with_dag(instance: &Instance, dag: Dag) -> Instance {
+    let out = Instance::new(dag, instance.red_limit(), instance.model())
         .with_source_convention(instance.source_convention())
-        .with_sink_convention(instance.sink_convention())
+        .with_sink_convention(instance.sink_convention());
+    match instance.mpp() {
+        Some(dim) => out.with_mpp(dim),
+        None => out,
+    }
 }
 
 /// Minimizes `instance` under `still_fails`, which must return `true`
