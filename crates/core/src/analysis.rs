@@ -34,9 +34,10 @@ impl NodeTraffic {
 pub struct TraceAnalysis {
     /// Per-node traffic, indexed by node id.
     pub traffic: Vec<NodeTraffic>,
-    /// Red-pebble count after every move (the working-set curve).
+    /// Red-pebble count after every move, over all processors (the
+    /// working-set curve).
     pub red_curve: Vec<usize>,
-    /// Largest simultaneous red-pebble count.
+    /// Largest simultaneous red-pebble count, over all processors.
     pub peak_red: usize,
     /// Number of moves.
     pub len: usize,
@@ -72,18 +73,18 @@ impl TraceAnalysis {
     }
 }
 
-/// Replays a trace (which must be valid for `instance`) and gathers the
-/// analysis. Panics on invalid traces — validate with
-/// [`crate::engine::simulate`] first if unsure.
+/// Replays a trace (which must be valid for `instance`, each move on its
+/// tagged processor) and gathers the analysis. Panics on invalid traces —
+/// validate with [`crate::engine::simulate`] first if unsure.
 pub fn analyze(instance: &Instance, trace: &Pebbling) -> TraceAnalysis {
     let n = instance.dag().n();
     let mut traffic = vec![NodeTraffic::default(); n];
     let mut state = State::initial(instance);
     let mut red_curve = Vec::with_capacity(trace.len());
     let mut peak = state.red_count();
-    for &mv in trace.moves() {
+    for (step, &mv) in trace.moves().iter().enumerate() {
         state
-            .apply(mv, instance)
+            .apply_on(mv, trace.proc_of(step), instance)
             .expect("analyze requires a valid trace");
         match mv {
             Move::Load(v) => traffic[v.index()].loads += 1,

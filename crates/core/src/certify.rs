@@ -2,22 +2,22 @@
 //!
 //! [`certify`] re-executes a pebbling trace against the rules of its
 //! instance's model using a **separate minimal interpreter** — it shares
-//! no code with [`crate::state::State`], [`crate::engine`], or
-//! [`crate::mpp`]: its board is a plain `Vec<Color>` whose red cells
-//! remember the owning processor, its cost accounting is two integer
-//! counters scaled by the instance's objective weights, and its
-//! legality guards are written from the paper's move rules (Section 2
-//! plus the Section 4 model deltas and the Appendix C conventions) and
-//! the multiprocessor deltas of Böhnlein/Papp/Yzelman 2024, not from
-//! the engine's. A bug in the engine and a matching bug in a solver
-//! therefore cannot cancel out here: any solution the system emits can
-//! be certified end-to-end by code with a disjoint failure surface.
+//! no code with [`crate::state::State`] or [`crate::engine`]: its board
+//! is a plain `Vec<Color>` whose red cells remember the owning
+//! processor, its cost accounting is two integer counters scaled by the
+//! instance's objective weights, and its legality guards are written
+//! from the paper's move rules (Section 2 plus the Section 4 model
+//! deltas and the Appendix C conventions) and the multiprocessor deltas
+//! of Böhnlein/Papp/Yzelman 2024, not from the engine's. A bug in the
+//! engine and a matching bug in a solver therefore cannot cancel out
+//! here: any solution the system emits can be certified end-to-end by
+//! code with a disjoint failure surface.
 //! Differential agreement between certifier and engine (accept/reject
 //! *and* costs) is itself property-tested in `tests/prop_certify.rs`.
 //!
 //! The single-processor game is certified as the `p = 1` special case
-//! of the same interpreter — one code path, so the equivalence between
-//! the two games is structural rather than asserted.
+//! of the same interpreter, as the engine plays it on processor 0 of
+//! [`crate::state::State::apply_on`]: neither side has a second rulebook.
 //!
 //! The only inputs the certifier consults are problem *data*: the DAG's
 //! predecessor lists, R, the model kind/ε, p, the cost weights, and the

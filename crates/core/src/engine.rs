@@ -16,7 +16,8 @@ pub struct SimReport {
     /// Exact accumulated cost (transfers + compute count; weigh with the
     /// model's ε via [`Cost::scaled`]).
     pub cost: Cost,
-    /// Maximum number of red pebbles simultaneously on the board.
+    /// Maximum number of red pebbles simultaneously on the board, over
+    /// all processors.
     pub peak_red: usize,
     /// Number of moves executed.
     pub steps: usize,
@@ -37,10 +38,10 @@ impl SimReport {
 /// and requires the finishing condition (every sink pebbled per the sink
 /// convention). Returns the exact cost or the first violation.
 ///
-/// Multiprocessor instances (p > 1) and processor-tagged traces are
-/// dispatched to the [`crate::mpp`] simulator transparently: the report
-/// carries the same global cost and the projected final configuration
-/// (red = union of the per-processor red sets).
+/// Each move runs on the processor its tag names ([`State::apply_on`]):
+/// untagged traces run on processor 0, and a tag at or beyond the
+/// instance's processor count is rejected as
+/// [`PebblingError::ProcOutOfRange`].
 pub fn simulate(instance: &Instance, trace: &Pebbling) -> Result<SimReport, TraceError> {
     let report = simulate_prefix(instance, trace)?;
     if let Some(sink) = report.final_state.first_unsatisfied_sink(instance) {
@@ -55,23 +56,11 @@ pub fn simulate(instance: &Instance, trace: &Pebbling) -> Result<SimReport, Trac
 /// Like [`simulate`] but without the completeness requirement — validates
 /// and costs a partial pebbling.
 pub fn simulate_prefix(instance: &Instance, trace: &Pebbling) -> Result<SimReport, TraceError> {
-    if instance.procs() > 1 || trace.has_proc_tags() {
-        // The multiprocessor path also covers tagged traces on classic
-        // instances: any nonzero tag is then rejected as out of range,
-        // which is the correct verdict rather than a silent reinterpretation.
-        let rep = crate::mpp::simulate_mpp_prefix(instance, trace)?;
-        return Ok(SimReport {
-            cost: rep.cost,
-            peak_red: rep.peak_red,
-            steps: rep.steps,
-            final_state: rep.final_state,
-        });
-    }
     let mut state = State::initial(instance);
     let mut cost = Cost::ZERO;
     let mut peak_red = state.red_count();
     for (step, &mv) in trace.moves().iter().enumerate() {
-        match state.apply(mv, instance) {
+        match state.apply_on(mv, trace.proc_of(step), instance) {
             Ok(delta) => cost += delta,
             Err(error) => return Err(TraceError { step, error }),
         }
@@ -228,7 +217,7 @@ mod tests {
     }
 
     #[test]
-    fn mpp_instances_dispatch_to_the_multiprocessor_simulator() {
+    fn mpp_instances_replay_under_the_per_processor_rules() {
         let inst = join_instance(CostModel::base(), 3).with_procs(2);
         let mut p = Pebbling::new();
         p.push_on(Move::Compute(v(0)), 0);
@@ -239,7 +228,7 @@ mod tests {
         let rep = simulate(&inst, &p).unwrap();
         assert_eq!(rep.cost.transfers, 2);
         assert_eq!(rep.cost.computes, 3);
-        // the projected final state unions both red sets
+        // the final state's red set is the union of both memories
         assert!(rep.final_state.is_red(v(0)));
         assert!(rep.final_state.is_red(v(2)));
         // an untagged trace on a p > 1 instance is a valid proc-0 schedule

@@ -13,7 +13,11 @@
 //!
 //! The central types:
 //! - [`Instance`]: DAG + red budget R + model + start/finish conventions;
-//! - [`Pebbling`]: a move trace;
+//! - [`State`]: a configuration and the one transition function,
+//!   [`State::apply_on`], of the multiprocessor (p-processor) extension
+//!   of the game, reached by lifting an [`Instance`] with
+//!   [`Instance::with_procs`]; the classic game is its `p = 1` case;
+//! - [`Pebbling`]: a move trace, each move tagged with its processor;
 //! - [`engine::simulate`]: the validating replayer every reported cost
 //!   goes through;
 //! - [`mod@certify`]: an *independent* second interpreter (no shared code
@@ -21,10 +25,7 @@
 //!   end-to-end certification;
 //! - [`bounds`]: the Section-3 structural bounds with constructive
 //!   witnesses;
-//! - [`transform`]: the super-source and Appendix-C convention adapters;
-//! - [`mod@mpp`]: the multiprocessor (p-processor) extension of the
-//!   game, reached by lifting an [`Instance`] with
-//!   [`Instance::with_procs`].
+//! - [`transform`]: the super-source and Appendix-C convention adapters.
 //!
 //! # Example
 //! ```
@@ -55,7 +56,6 @@ pub mod instance;
 pub mod io;
 pub mod model;
 pub mod moves;
-pub mod mpp;
 pub mod state;
 pub mod trace;
 pub mod transform;
@@ -69,8 +69,5 @@ pub use instance::{CanonicalKey, Instance, MppDim, SinkConvention, SourceConvent
 pub use io::{parse_instance, write_instance};
 pub use model::{CostModel, ModelKind};
 pub use moves::Move;
-pub use mpp::{
-    cost_vector, simulate_mpp, simulate_mpp_prefix, MppCostVector, MppSimReport, MppState,
-};
 pub use state::State;
 pub use trace::{Pebbling, TraceStats};

@@ -135,15 +135,22 @@ impl Pebbling {
     /// Per-operation counts.
     pub fn stats(&self) -> TraceStats {
         let mut s = TraceStats::default();
-        for m in &self.moves {
-            match m {
-                Move::Load(_) => s.loads += 1,
-                Move::Store(_) => s.stores += 1,
-                Move::Compute(_) => s.computes += 1,
-                Move::Delete(_) => s.deletes += 1,
-            }
+        for &m in &self.moves {
+            s.count(m);
         }
         s
+    }
+
+    /// Per-operation counts split by executing processor: entry `i`
+    /// counts processor `i`'s moves, up to the highest tag in the trace
+    /// (one entry for an untagged trace).
+    pub fn proc_stats(&self) -> Vec<TraceStats> {
+        let procs = self.procs.iter().max().map_or(1, |&p| p as usize + 1);
+        let mut per_proc = vec![TraceStats::default(); procs];
+        for (i, &m) in self.moves.iter().enumerate() {
+            per_proc[self.proc_of(i) as usize].count(m);
+        }
+        per_proc
     }
 
     /// The order in which nodes receive their *first* computation — the
@@ -230,6 +237,15 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
+    fn count(&mut self, m: Move) {
+        match m {
+            Move::Load(_) => self.loads += 1,
+            Move::Store(_) => self.stores += 1,
+            Move::Compute(_) => self.computes += 1,
+            Move::Delete(_) => self.deletes += 1,
+        }
+    }
+
     /// Total transfers (the cost in all models up to the compute term).
     pub fn transfers(&self) -> u64 {
         self.loads + self.stores
@@ -362,6 +378,20 @@ mod tests {
         assert_eq!(b.proc_of(0), 2);
         assert_eq!(b.proc_of(1), 0);
         assert_eq!(b.len(), 2);
+    }
+
+    #[test]
+    fn proc_stats_split_the_counts_by_processor() {
+        let mut p = Pebbling::new();
+        p.compute(v(0));
+        assert_eq!(p.proc_stats(), vec![p.stats()]);
+        p.push_on(Move::Store(v(0)), 2);
+        p.push_on(Move::Load(v(0)), 2);
+        let per_proc = p.proc_stats();
+        assert_eq!(per_proc.len(), 3);
+        assert_eq!(per_proc[0].computes, 1);
+        assert_eq!(per_proc[1], TraceStats::default());
+        assert_eq!(per_proc[2].transfers(), 2);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! DAG transformations from Section 3 and Appendix C.
 
 use crate::instance::{Instance, SinkConvention};
+use crate::moves::Move;
 use crate::state::State;
 use crate::trace::Pebbling;
 use rbp_graph::{Dag, DagBuilder, NodeId};
@@ -39,22 +40,23 @@ pub fn add_super_source(dag: &Dag) -> SuperSource {
 
 /// Appendix C: converts a pebbling that finishes with any-colour pebbles
 /// on sinks into one that finishes with *blue* pebbles on all sinks, by
-/// appending a store for each red sink. Adds at most (#sinks) transfers.
+/// appending a store for each red sink, executed by the processor that
+/// holds it. Adds at most (#sinks) transfers.
 ///
 /// The input trace must be valid for `instance`; the output is valid for
 /// the same instance with [`SinkConvention::RequireBlue`].
 pub fn bluify_sinks(instance: &Instance, trace: &Pebbling) -> Pebbling {
-    // Replay to find which sinks end red.
+    // Replay to find which sinks end red, and where.
     let mut state = State::initial(instance);
-    for &mv in trace.moves() {
+    for (step, &mv) in trace.moves().iter().enumerate() {
         state
-            .apply(mv, instance)
+            .apply_on(mv, trace.proc_of(step), instance)
             .expect("bluify_sinks requires a valid trace");
     }
     let mut out = trace.clone();
     for v in instance.dag().sinks() {
-        if state.is_red(v) {
-            out.store(v);
+        if let Some(proc) = state.owner_of(v) {
+            out.push_on(Move::Store(v), proc);
         }
     }
     out
@@ -123,6 +125,28 @@ mod tests {
         let rep = simulate(&strict, &fixed).unwrap();
         // exactly one extra store
         assert_eq!(rep.cost.transfers, 1);
+
+        // p = 2: the red sink sits on processor 1, which must store it
+        let mut b = DagBuilder::new(3);
+        b.add_edge(0, 1);
+        b.add_edge(0, 2);
+        let inst = Instance::new(b.build().unwrap(), 2, CostModel::base()).with_procs(2);
+        let mut p = Pebbling::new();
+        p.push_on(Move::Compute(NodeId::new(0)), 0);
+        p.push_on(Move::Compute(NodeId::new(1)), 0);
+        p.push_on(Move::Store(NodeId::new(0)), 0);
+        p.push_on(Move::Load(NodeId::new(0)), 1);
+        p.push_on(Move::Compute(NodeId::new(2)), 1);
+        let strict = require_blue_sinks(&inst);
+        assert!(simulate(&inst, &p).is_ok());
+        assert!(simulate(&strict, &p).is_err());
+        let fixed = bluify_sinks(&inst, &p);
+        let rep = simulate(&strict, &fixed).unwrap();
+        assert_eq!(
+            rep.cost.transfers, 4,
+            "two sink stores on top of the shipment"
+        );
+        assert_eq!(fixed.proc_of(fixed.len() - 1), 1);
     }
 
     #[test]

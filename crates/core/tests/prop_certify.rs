@@ -5,38 +5,12 @@
 //! agreement here is evidence neither has drifted from the paper's
 //! rules.
 
+mod common;
+
+use common::{arb_dag, arb_model, legal_walk};
 use proptest::prelude::*;
-use rbp_core::{certify, engine, CertifyError, CostModel, Instance, Move, Pebbling, State};
-use rbp_core::{MppDim, MppState, Ratio};
-use rbp_graph::{DagBuilder, NodeId};
-
-fn arb_model() -> impl Strategy<Value = CostModel> {
-    prop_oneof![
-        Just(CostModel::base()),
-        Just(CostModel::oneshot()),
-        Just(CostModel::nodel()),
-        Just(CostModel::compcost()),
-    ]
-}
-
-fn arb_dag(max_n: usize) -> impl Strategy<Value = rbp_graph::Dag> {
-    (2..=max_n).prop_flat_map(|n| {
-        let pairs = n * (n - 1) / 2;
-        proptest::collection::vec(proptest::bool::weighted(0.35), pairs).prop_map(move |coins| {
-            let mut b = DagBuilder::new(n);
-            let mut idx = 0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if coins[idx] {
-                        b.add_edge(i, j);
-                    }
-                    idx += 1;
-                }
-            }
-            b.build().unwrap()
-        })
-    })
-}
+use rbp_core::{certify, engine, CertifyError, Instance, Move, MppDim, Pebbling, Ratio};
+use rbp_graph::NodeId;
 
 fn arb_instance(max_n: usize) -> impl Strategy<Value = Instance> {
     (
@@ -79,85 +53,6 @@ fn arb_mpp_instance(max_n: usize) -> impl Strategy<Value = Instance> {
                 inst.with_procs(p)
             }
         })
-}
-
-/// A pseudo-random walk of legal moves — yields traces the engine
-/// accepts as prefixes (completion not guaranteed).
-fn legal_walk(inst: &Instance, steps: usize, seed: u64) -> Pebbling {
-    let mut state = State::initial(inst);
-    let mut trace = Pebbling::new();
-    let n = inst.dag().n();
-    let mut rng = seed | 1;
-    let mut next = move || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
-    };
-    for _ in 0..steps {
-        let mut legal: Vec<Move> = Vec::new();
-        for i in 0..n {
-            let v = NodeId::new(i);
-            for mv in [
-                Move::Load(v),
-                Move::Store(v),
-                Move::Compute(v),
-                Move::Delete(v),
-            ] {
-                if state.is_legal(mv, inst) {
-                    legal.push(mv);
-                }
-            }
-        }
-        if legal.is_empty() {
-            break;
-        }
-        let mv = legal[(next() % legal.len() as u64) as usize];
-        state.apply(mv, inst).unwrap();
-        trace.push(mv);
-    }
-    trace
-}
-
-/// The multiprocessor analogue of [`legal_walk`]: a random walk over
-/// (move, processor) pairs, legality probed by applying on a clone.
-fn legal_walk_mpp(inst: &Instance, steps: usize, seed: u64) -> Pebbling {
-    let mut state = MppState::initial(inst);
-    let mut trace = Pebbling::new();
-    let n = inst.dag().n();
-    let p = inst.procs().max(1) as u16;
-    let mut rng = seed | 1;
-    let mut next = move || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
-    };
-    for _ in 0..steps {
-        let mut legal: Vec<(Move, u16)> = Vec::new();
-        for i in 0..n {
-            let v = NodeId::new(i);
-            for proc in 0..p {
-                for mv in [
-                    Move::Load(v),
-                    Move::Store(v),
-                    Move::Compute(v),
-                    Move::Delete(v),
-                ] {
-                    if state.clone().apply(mv, proc, inst).is_ok() {
-                        legal.push((mv, proc));
-                    }
-                }
-            }
-        }
-        if legal.is_empty() {
-            break;
-        }
-        let (mv, proc) = legal[(next() % legal.len() as u64) as usize];
-        state.apply(mv, proc, inst).unwrap();
-        trace.push_on(mv, proc);
-    }
-    trace
 }
 
 /// An unconstrained random move sequence — mostly illegal.
@@ -220,7 +115,7 @@ proptest! {
         steps in 0..40usize,
         seed in any::<u64>(),
     ) {
-        let trace = legal_walk(&inst, steps, seed);
+        let (_, trace) = legal_walk(&inst, steps, seed);
         assert_agreement(&inst, &trace);
     }
 
@@ -235,16 +130,16 @@ proptest! {
         assert_agreement(&inst, &trace);
     }
 
-    /// Multiprocessor legal walks: the mpp engine and the p-aware
-    /// certifier replay processor-tagged traces identically, exact
-    /// cost weights included.
+    /// Multiprocessor legal walks: the engine and the p-aware certifier
+    /// replay processor-tagged traces identically, exact cost weights
+    /// included.
     #[test]
     fn certifier_agrees_with_engine_on_mpp_walks(
         inst in arb_mpp_instance(6),
         steps in 0..40usize,
         seed in any::<u64>(),
     ) {
-        let trace = legal_walk_mpp(&inst, steps, seed);
+        let (_, trace) = legal_walk(&inst, steps, seed);
         assert_agreement(&inst, &trace);
     }
 

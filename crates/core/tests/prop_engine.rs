@@ -2,96 +2,45 @@
 //! legal move sequences, cost accounting consistency, and analysis
 //! agreement.
 
+mod common;
+
+use common::{arb_dag, arb_model, legal_walk};
 use proptest::prelude::*;
 use rbp_core::{analysis, engine, CostModel, Instance, ModelKind, Move, Pebbling, State};
 use rbp_graph::{DagBuilder, NodeId};
 
-fn arb_model() -> impl Strategy<Value = CostModel> {
-    prop_oneof![
-        Just(CostModel::base()),
-        Just(CostModel::oneshot()),
-        Just(CostModel::nodel()),
-        Just(CostModel::compcost()),
-    ]
-}
-
-fn arb_dag(max_n: usize) -> impl Strategy<Value = rbp_graph::Dag> {
-    (2..=max_n).prop_flat_map(|n| {
-        let pairs = n * (n - 1) / 2;
-        proptest::collection::vec(proptest::bool::weighted(0.35), pairs).prop_map(move |coins| {
-            let mut b = DagBuilder::new(n);
-            let mut idx = 0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if coins[idx] {
-                        b.add_edge(i, j);
-                    }
-                    idx += 1;
-                }
-            }
-            b.build().unwrap()
-        })
-    })
-}
-
-/// Drives a state with a pseudo-random walk of *legal* moves, checking
-/// the structural invariants after each step.
-fn random_legal_walk(inst: &Instance, steps: usize, seed: u64) -> (State, Pebbling) {
-    let mut state = State::initial(inst);
-    let mut trace = Pebbling::new();
-    let n = inst.dag().n();
-    let mut rng = seed | 1;
-    let mut next = move || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
-    };
-    for _ in 0..steps {
-        // enumerate all legal moves, pick one pseudo-randomly
-        let mut legal: Vec<Move> = Vec::new();
-        for i in 0..n {
-            let v = NodeId::new(i);
-            for mv in [
-                Move::Load(v),
-                Move::Store(v),
-                Move::Compute(v),
-                Move::Delete(v),
-            ] {
-                if state.is_legal(mv, inst) {
-                    legal.push(mv);
-                }
-            }
-        }
-        if legal.is_empty() {
-            break;
-        }
-        let mv = legal[(next() % legal.len() as u64) as usize];
-        state.apply(mv, inst).unwrap();
-        trace.push(mv);
-    }
-    (state, trace)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Invariants under arbitrary legal play: red/blue disjoint, red
-    /// count within budget, pebbles only on computed nodes.
+    /// Invariants under arbitrary legal play on p ∈ {1, 2, 4}
+    /// processors: red/blue disjoint, every processor within its own
+    /// red budget, the per-processor counts adding up to the total,
+    /// pebbles only on computed nodes.
     #[test]
     fn invariants_hold_under_random_play(
         dag in arb_dag(8),
         model in arb_model(),
+        p_idx in 0..3usize,
         seed in any::<u64>(),
     ) {
         let r = dag.max_indegree() + 1;
-        let inst = Instance::new(dag, r, model);
-        let (state, trace) = random_legal_walk(&inst, 60, seed);
+        let p = [1u16, 2, 4][p_idx];
+        let inst = Instance::new(dag, r, model).with_procs(p.into());
+        let (state, trace) = legal_walk(&inst, 60, seed);
         // disjoint pebbles
         prop_assert!(state.red_set().is_disjoint(state.blue_set()));
-        // budget respected
-        prop_assert!(state.red_count() <= r);
+        // each processor's budget respected, and the owners tally
+        prop_assert_eq!(state.procs(), p as usize);
+        let mut owned = vec![0usize; p as usize];
+        for v in state.red_set().iter() {
+            owned[state.owner_of(NodeId::new(v)).unwrap() as usize] += 1;
+        }
+        for proc in 0..p {
+            prop_assert!(state.red_count_on(proc) <= r);
+            prop_assert_eq!(state.red_count_on(proc), owned[proc as usize]);
+        }
         prop_assert_eq!(state.red_count(), state.red_set().len());
+        prop_assert_eq!(owned.iter().sum::<usize>(), state.red_count());
         // pebbles imply computed
         for v in state.red_set().iter() {
             prop_assert!(state.is_computed(NodeId::new(v)));
@@ -109,16 +58,18 @@ proptest! {
     }
 
     /// The analysis module agrees with the engine on peak occupancy and
-    /// per-node totals.
+    /// per-node totals, on p ∈ {1, 2, 4} processors.
     #[test]
     fn analysis_matches_engine(
         dag in arb_dag(8),
         model in arb_model(),
+        p_idx in 0..3usize,
         seed in any::<u64>(),
     ) {
         let r = dag.max_indegree() + 1;
-        let inst = Instance::new(dag, r, model);
-        let (_, trace) = random_legal_walk(&inst, 40, seed);
+        let p = [1u32, 2, 4][p_idx];
+        let inst = Instance::new(dag, r, model).with_procs(p);
+        let (_, trace) = legal_walk(&inst, 40, seed);
         let rep = engine::simulate_prefix(&inst, &trace).unwrap();
         let a = analysis::analyze(&inst, &trace);
         prop_assert_eq!(a.peak_red, rep.peak_red);
@@ -133,7 +84,7 @@ proptest! {
     fn oneshot_single_compute_invariant(dag in arb_dag(8), seed in any::<u64>()) {
         let r = dag.max_indegree() + 1;
         let inst = Instance::new(dag, r, CostModel::oneshot());
-        let (_, trace) = random_legal_walk(&inst, 80, seed);
+        let (_, trace) = legal_walk(&inst, 80, seed);
         let mut counts = std::collections::HashMap::new();
         for mv in trace.moves() {
             if let Move::Compute(v) = mv {
@@ -151,49 +102,13 @@ proptest! {
         let r = dag.max_indegree() + 1;
         let inst = Instance::new(dag.clone(), r, CostModel::nodel());
         let mut state = State::initial(&inst);
-        let (_, trace) = random_legal_walk(&inst, 50, seed);
+        let (_, trace) = legal_walk(&inst, 50, seed);
         let mut prev = 0usize;
         for &mv in trace.moves() {
             state.apply(mv, &inst).unwrap();
             let pebbled = state.red_set().len() + state.blue_set().len();
             prop_assert!(pebbled >= prev);
             prev = pebbled;
-        }
-    }
-
-    /// `is_legal` is a pure predicate that agrees with `apply` on every
-    /// move, for random reachable states, all four models, and both
-    /// source conventions.
-    #[test]
-    fn is_legal_agrees_with_apply(
-        dag in arb_dag(8),
-        model in arb_model(),
-        blue_sources in any::<bool>(),
-        steps in 0usize..50,
-        seed in any::<u64>(),
-    ) {
-        let r = dag.max_indegree() + 1;
-        let mut inst = Instance::new(dag, r, model);
-        if blue_sources {
-            inst = inst.with_source_convention(rbp_core::SourceConvention::InitiallyBlue);
-        }
-        let (state, _) = random_legal_walk(&inst, steps, seed);
-        for i in 0..inst.dag().n() {
-            let v = NodeId::new(i);
-            for mv in [
-                Move::Load(v),
-                Move::Store(v),
-                Move::Compute(v),
-                Move::Delete(v),
-            ] {
-                let mut probe = state.clone();
-                prop_assert_eq!(
-                    state.is_legal(mv, &inst),
-                    probe.apply(mv, &inst).is_ok(),
-                    "is_legal disagrees with apply on {:?}",
-                    mv
-                );
-            }
         }
     }
 

@@ -19,10 +19,11 @@
 //! A key is `planes` red planes, then the blue set, then (oneshot only)
 //! the computed set, each [`rbp_graph::words_for`]`(n)` words wide. The
 //! classic game searches one plane. The multiprocessor game
-//! (`exact@mpp`, [`rbp_core::mpp`]) searches one plane per processor:
-//! that processor's private red memory over the shared blue one. A value
-//! lives in exactly one memory — blue, or red on exactly one plane — so
-//! at one plane the layout is the classic `(red, blue[, computed])`.
+//! (`exact@mpp`, [`rbp_core::State::apply_on`]) searches one plane per
+//! processor: that processor's private red memory over the shared blue
+//! one. A value lives in exactly one memory — blue, or red on exactly
+//! one plane — so at one plane the layout is the classic
+//! `(red, blue[, computed])`.
 //!
 //! ## Pricing
 //! Every edge is priced with [`Instance::cost_scales`]: `comm` per load

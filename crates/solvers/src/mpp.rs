@@ -1,10 +1,10 @@
 //! Multiprocessor pebbling solvers: the exact search over one red plane
 //! per processor and a greedy list scheduler.
 //!
-//! The multiprocessor game (`rbp_core::mpp`) runs `p` private fast
-//! memories over one shared blue memory; a configuration is the tuple
-//! of `p` per-processor red sets, the shared blue set, and (oneshot)
-//! the global computed set.
+//! The multiprocessor game ([`rbp_core::State::apply_on`]) runs `p`
+//! private fast memories over one shared blue memory; a configuration is
+//! the tuple of `p` per-processor red sets, the shared blue set, and
+//! (oneshot) the global computed set.
 //!
 //! - [`ExactMppSolver`] (`exact@mpp[:P]`) runs the crate's one exact
 //!   search ([`crate::exact`] over [`crate::expand::Expander`]) with one
@@ -35,30 +35,31 @@
 use crate::api::{run_exact_family, Solution, SolveCtx, Solver, Stats};
 use crate::error::SolveError;
 use crate::exact::ExactConfig;
-use rbp_core::{bounds, mpp, Instance, Move, Pebbling, PebblingError, SourceConvention};
+use rbp_core::{bounds, Instance, Move, Pebbling, PebblingError, SourceConvention, State};
 use rbp_graph::NodeId;
 use std::cmp::Reverse;
 
 /// The move-application callback the greedy helpers thread through:
 /// `(state, trace, per-processor work, move, processor)`.
-type ApplyMove<'a> = dyn FnMut(&mut mpp::MppState, &mut Pebbling, &mut [u128], Move, usize) -> Result<(), SolveError>
-    + 'a;
+type ApplyMove<'a> =
+    dyn FnMut(&mut State, &mut Pebbling, &mut [u128], Move, u16) -> Result<(), SolveError> + 'a;
 
 /// Greedy multiprocessor list scheduling: nodes in topological order,
 /// each assigned to the processor already holding most of its inputs.
-/// Every move goes through [`mpp::MppState::apply`], and a schedule that
+/// Every move goes through [`State::apply_on`], and a schedule that
 /// leaves a sink unsatisfied is an error, so the processor-tagged trace
 /// is complete and legal.
 pub(crate) fn solve_greedy_mpp(instance: &Instance) -> Result<Pebbling, SolveError> {
     bounds::check_feasible(instance)?;
     let dag = instance.dag();
     let n = dag.n();
-    let p = instance.procs().max(1);
+    // trace tags are u16: a larger machine schedules on its first 65 535
+    let p = u16::try_from(instance.procs()).unwrap_or(u16::MAX);
     let initially_blue = instance.source_convention() == SourceConvention::InitiallyBlue;
     let (comm, comp) = instance.cost_scales();
     let allows_delete = instance.model().allows_delete();
 
-    let mut state = mpp::MppState::initial(instance);
+    let mut state = State::initial(instance);
     let mut trace = Pebbling::with_capacity(3 * n);
     // uses[v]: uncomputed successors (remaining demand for v's value)
     let mut uses: Vec<u32> = (0..n)
@@ -71,19 +72,19 @@ pub(crate) fn solve_greedy_mpp(instance: &Instance) -> Result<Pebbling, SolveErr
         }
     }
     // weighted accumulated work per processor (load-balancing tiebreak)
-    let mut work: Vec<u128> = vec![0; p];
+    let mut work: Vec<u128> = vec![0; p as usize];
 
-    let mut apply = |state: &mut mpp::MppState,
+    let mut apply = |state: &mut State,
                      trace: &mut Pebbling,
                      work: &mut [u128],
                      mv: Move,
-                     proc: usize|
+                     proc: u16|
      -> Result<(), SolveError> {
         state
-            .apply(mv, proc as u16, instance)
+            .apply_on(mv, proc, instance)
             .map_err(SolveError::Pebbling)?;
-        trace.push_on(mv, proc as u16);
-        work[proc] += match mv {
+        trace.push_on(mv, proc);
+        work[proc as usize] += match mv {
             Move::Load(_) | Move::Store(_) => comm as u128,
             Move::Compute(_) => comp as u128,
             Move::Delete(_) => 0,
@@ -95,15 +96,15 @@ pub(crate) fn solve_greedy_mpp(instance: &Instance) -> Result<Pebbling, SolveErr
     // dead non-sinks first (deleted where legal, else stored), then the
     // live value with the fewest uncomputed successors (sinks last —
     // they are stored, never deleted). `pinned` values never move.
-    let ensure_slot = |state: &mut mpp::MppState,
+    let ensure_slot = |state: &mut State,
                        trace: &mut Pebbling,
                        work: &mut [u128],
                        apply: &mut ApplyMove<'_>,
                        uses: &[u32],
-                       i: usize,
+                       i: u16,
                        pinned: &[NodeId]|
      -> Result<(), SolveError> {
-        while state.red_count_of(i) >= instance.red_limit() {
+        while state.red_count_on(i) >= instance.red_limit() {
             let is_pinned = |v: usize| pinned.iter().any(|u| u.index() == v);
             let mut dead: Option<usize> = None;
             let mut sink: Option<usize> = None;
@@ -150,7 +151,7 @@ pub(crate) fn solve_greedy_mpp(instance: &Instance) -> Result<Pebbling, SolveErr
         let i = (0..p)
             .min_by_key(|&i| {
                 let red_here = preds.iter().filter(|&&u| state.is_red_on(i, u)).count();
-                (Reverse(red_here), work[i], i)
+                (Reverse(red_here), work[i as usize], i)
             })
             .expect("p >= 1");
         // acquire inputs on processor i
@@ -158,7 +159,7 @@ pub(crate) fn solve_greedy_mpp(instance: &Instance) -> Result<Pebbling, SolveErr
             if state.is_red_on(i, u) {
                 continue;
             }
-            if let Some(j) = (0..p).find(|&j| state.is_red_on(j, u)) {
+            if let Some(j) = state.owner_of(u) {
                 // ship through shared memory: store on the holder...
                 apply(&mut state, &mut trace, &mut work, Move::Store(u), j)?;
             }
@@ -192,7 +193,9 @@ pub(crate) fn solve_greedy_mpp(instance: &Instance) -> Result<Pebbling, SolveErr
     if !initially_blue {
         for v in dag.nodes() {
             if dag.is_source(v) && dag.is_sink(v) && !computed[v.index()] {
-                let i = (0..p).min_by_key(|&i| (work[i], i)).expect("p >= 1");
+                let i = (0..p)
+                    .min_by_key(|&i| (work[i as usize], i))
+                    .expect("p >= 1");
                 ensure_slot(&mut state, &mut trace, &mut work, &mut apply, &uses, i, &[])?;
                 apply(&mut state, &mut trace, &mut work, Move::Compute(v), i)?;
                 computed[v.index()] = true;
@@ -205,7 +208,7 @@ pub(crate) fn solve_greedy_mpp(instance: &Instance) -> Result<Pebbling, SolveErr
     if instance.sink_convention() == rbp_core::SinkConvention::RequireBlue {
         for v in dag.nodes() {
             if dag.is_sink(v) && !state.is_blue(v) {
-                if let Some(j) = (0..p).find(|&j| state.is_red_on(j, v)) {
+                if let Some(j) = state.owner_of(v) {
                     apply(&mut state, &mut trace, &mut work, Move::Store(v), j)?;
                 }
             }
@@ -270,7 +273,7 @@ impl Solver for ExactMppSolver {
     fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
         let inst = self.problem(instance);
         let mut sol = run_exact_family(&inst, self.cfg, inst.procs(), true, ctx)?;
-        add_mpp_stats(&inst, &sol.trace, &mut sol.stats);
+        add_mpp_stats(&inst, &mut sol);
         Ok(sol)
     }
 }
@@ -315,23 +318,29 @@ impl Solver for GreedyMppSolver {
     fn solve(&self, instance: &Instance, _ctx: &SolveCtx) -> Result<Solution, SolveError> {
         let inst = self.problem(instance);
         let trace = solve_greedy_mpp(&inst)?;
-        let mut stats = Stats::new();
-        add_mpp_stats(&inst, &trace, &mut stats);
-        Solution::replay(&inst, trace, false, stats)
+        let mut sol = Solution::replay(&inst, trace, false, Stats::new())?;
+        add_mpp_stats(&inst, &mut sol);
+        Ok(sol)
     }
 }
 
-/// Adds the stats every MPP solver reports: the effective processor
-/// count and the makespan statistic (max over processors of own weighted
-/// work — reported, never optimized).
-fn add_mpp_stats(instance: &Instance, trace: &Pebbling, stats: &mut Stats) {
-    stats.set("procs", instance.procs() as u64);
-    if let Ok(rep) = mpp::simulate_mpp(instance, trace) {
-        stats.set(
-            "mpp_time_scaled",
-            u64::try_from(rep.time_scaled(instance)).unwrap_or(u64::MAX),
-        );
-    }
+/// Adds the stats every MPP solver reports to a replayed solution: the
+/// effective processor count and the makespan statistic (max over
+/// processors of own weighted work — reported, never optimized), counted
+/// from the validated trace's per-processor moves.
+fn add_mpp_stats(instance: &Instance, sol: &mut Solution) {
+    sol.stats.set("procs", instance.procs() as u64);
+    let makespan = sol
+        .trace
+        .proc_stats()
+        .iter()
+        .map(|s| instance.scaled_cost(&s.cost()))
+        .max()
+        .unwrap_or(0);
+    sol.stats.set(
+        "mpp_time_scaled",
+        u64::try_from(makespan).unwrap_or(u64::MAX),
+    );
 }
 
 #[cfg(test)]
@@ -517,11 +526,11 @@ mod tests {
             comp: Ratio::new(1, 1),
         });
         let trace = solve_greedy_mpp(&inst).unwrap();
-        let sim = mpp::simulate_mpp(&inst, &trace).unwrap();
+        let sim = engine::simulate(&inst, &trace).unwrap();
+        let per_proc = trace.proc_stats();
         assert!(
-            sim.per_proc.iter().all(|c| c.computes == 2),
-            "work not spread: {:?}",
-            sim.per_proc
+            per_proc.len() == 2 && per_proc.iter().all(|c| c.computes == 2),
+            "work not spread: {per_proc:?}"
         );
         assert_eq!(sim.cost.transfers, 0, "independent chains need no traffic");
     }
@@ -601,6 +610,12 @@ mod tests {
         let t1 = serial.stats.get("mpp_time_scaled").unwrap();
         let t2 = par.stats.get("mpp_time_scaled").unwrap();
         assert!(t2 < t1, "parallel makespan {t2} must beat serial {t1}");
+        // the busiest processor does at least the mean work
+        let total = par.scaled_cost(&base.with_mpp(weights(2)));
+        assert!(
+            2 * t2 as u128 >= total,
+            "makespan {t2} below half of {total}"
+        );
         assert!(
             par.cost.transfers > serial.cost.transfers,
             "communication must rise with p"
