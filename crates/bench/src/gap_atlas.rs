@@ -365,12 +365,12 @@ fn git_show_baseline(dir: &Path) -> Option<String> {
 }
 
 /// `gap-check`: diffs a fresh atlas against the committed
-/// `GAP_ATLAS.json`, emitting one `::warning::` annotation per row
-/// whose worst ratio **grew** (a heuristic regression) and an
-/// informational line per row that improved. Rows present on only one
-/// side are warn-and-skip — never counted — so adding a spec or a
-/// model extends the atlas without breaking CI. Non-gating: always
-/// exits 0; returns the number of regressed rows.
+/// `GAP_ATLAS.json`, emitting one `::error::` annotation per row whose
+/// worst ratio **grew** (a heuristic regression) and an informational
+/// line per row that improved. Rows present on only one side are
+/// warn-and-skip — never counted — so adding a spec or a model extends
+/// the atlas without breaking CI. Returns the number of regressed rows;
+/// the `experiments` binary exits non-zero when it is positive.
 ///
 /// With `GAP_CHECK_REUSE_ATLAS=1` (set by the CI job right after its
 /// `gap-atlas` step) the on-disk file is reused as the fresh side
@@ -418,7 +418,7 @@ pub fn check(dir: &Path) -> usize {
         if new.worst_milli > old.worst_milli {
             regressed += 1;
             println!(
-                "::warning title=approximation gap grew::{}/{}: worst ratio {} milli vs \
+                "::error title=approximation gap grew::{}/{}: worst ratio {} milli vs \
                  committed {} (on {})",
                 new.model, new.spec, new.worst_milli, old.worst_milli, new.instance
             );

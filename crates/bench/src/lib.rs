@@ -17,7 +17,10 @@
 //! `perf-check` diffs a fresh measurement against that committed
 //! baseline — see [`perf_snapshot`]. Likewise `gap-atlas` records the
 //! worst observed heuristic/optimal ratios per (model, spec) to
-//! `GAP_ATLAS.json`, diffed by `gap-check` — see [`gap_atlas`].
+//! `GAP_ATLAS.json`, diffed by `gap-check` — see [`gap_atlas`]. Both
+//! checks exit non-zero on a deterministic regression (a cost that
+//! drifts, a search that expands or interns more states, a worst ratio
+//! that grows); timing only warns.
 
 pub mod exp_ablation;
 pub mod exp_fig1;
@@ -65,16 +68,21 @@ pub fn run_experiment(id: &str, out: &Path) {
         // informational perf baseline: always lands at the workspace
         // root (next to Cargo.lock) so the trajectory is tracked in git
         "perf-snapshot" => perf_snapshot::run(&report::workspace_root()),
-        // non-gating diff of a fresh measurement against the committed
-        // baseline (GitHub annotations for >25% states/sec regressions)
+        // diff of a fresh measurement against the committed baseline:
+        // fails on cost drift or more search effort, warns on timing
         "perf-check" => {
-            perf_snapshot::check(&report::workspace_root());
+            if perf_snapshot::check(&report::workspace_root()) > 0 {
+                std::process::exit(1);
+            }
         }
         // worst heuristic/optimal ratios, committed like BENCH_exact.json
         "gap-atlas" => gap_atlas::run(&report::workspace_root()),
-        // non-gating diff of the atlas against the committed baseline
+        // diff of the atlas against the committed baseline: fails when
+        // a worst ratio grows
         "gap-check" => {
-            gap_atlas::check(&report::workspace_root());
+            if gap_atlas::check(&report::workspace_root()) > 0 {
+                std::process::exit(1);
+            }
         }
         other => panic!(
             "unknown experiment id '{other}'; known: {ALL_EXPERIMENTS:?} plus 'perf-snapshot', \

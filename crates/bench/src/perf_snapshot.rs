@@ -7,9 +7,9 @@
 //! writes `BENCH_exact.json` (schema `rbp-perf-exact/v3`) with per-cell
 //! median wall time, interned-state throughput, and search effort. The
 //! file is committed at the workspace root so every PR leaves a perf
-//! trajectory to compare against; CI regenerates it as an informational
-//! artifact and runs [`check`] (`perf-check`) to annotate throughput
-//! regressions against the committed baseline.
+//! trajectory to compare against; CI regenerates it as an artifact and
+//! runs [`check`] (`perf-check`), which fails on a drifted cost or a
+//! grown search-effort counter and annotates throughput regressions.
 //!
 //! Every row records the **registry spec** that produced it (`"exact"`,
 //! the search with the greedy incumbent seed). Diffs are keyed by
@@ -652,6 +652,10 @@ pub struct ParsedCell {
     pub spec: String,
     /// Recorded median wall time, nanoseconds.
     pub median_ns: u128,
+    /// Recorded distinct states interned.
+    pub states_seen: u128,
+    /// Recorded states popped from the queue.
+    pub states_expanded: u128,
     /// Recorded interned-state throughput.
     pub states_per_sec: u64,
     /// Recorded optimum (scaled cost).
@@ -700,6 +704,8 @@ pub fn parse_snapshot(json: &str) -> Option<Vec<ParsedCell>> {
             model: str_field(line, "model")?,
             spec: str_field(line, "spec")?,
             median_ns: num_field(line, "median_ns")?,
+            states_seen: num_field(line, "states_seen")?,
+            states_expanded: num_field(line, "states_expanded")?,
             states_per_sec: num_field(line, "states_per_sec")? as u64,
             scaled_cost: num_field(line, "scaled_cost")?,
         });
@@ -729,6 +735,8 @@ fn measure_parsed() -> Vec<ParsedCell> {
             model: c.model,
             spec: c.spec,
             median_ns: c.median_ns,
+            states_seen: c.states_seen as u128,
+            states_expanded: c.states_expanded as u128,
             states_per_sec: c.states_per_sec,
             scaled_cost: c.scaled_cost,
         })
@@ -750,11 +758,14 @@ fn git_show_baseline(dir: &Path) -> Option<String> {
 }
 
 /// `perf-check`: diffs fresh numbers against the committed
-/// `BENCH_exact.json` baseline, emitting one GitHub Actions
-/// `::warning::` annotation per cell regressing more than 25% in
-/// states/sec (and an `::error::` if any recorded optimum drifted, which
-/// would be a correctness bug, not a perf one). Non-gating: the process
-/// always exits 0; returns the number of regressed cells.
+/// `BENCH_exact.json` baseline. The deterministic columns gate: a cell
+/// whose `scaled_cost` differs from the committed one, or whose
+/// `states_expanded` or `states_seen` is higher, gets a GitHub Actions
+/// `::error::` annotation and counts as failed. Timing never gates: a
+/// cell regressing more than 25% in states/sec gets a `::warning::`
+/// with its ratio, every other cell prints its ratio. Returns the number
+/// of failed cells; the `experiments` binary exits non-zero when it is
+/// positive.
 ///
 /// The baseline is `HEAD`'s version of the file (falling back to the
 /// on-disk copy outside a git checkout). When the environment sets
@@ -808,7 +819,8 @@ pub fn check(dir: &Path) -> usize {
              re-commit a snapshot from this host class to restore them"
         );
     }
-    let mut regressed = 0;
+    let mut failed = 0;
+    let mut slower = 0;
     for new in &fresh {
         let Some(old) = baseline
             .iter()
@@ -828,8 +840,22 @@ pub fn check(dir: &Path) -> usize {
                 "::error title=optimum drift::{}/{}@{}: scaled cost {} != committed {}",
                 new.workload, new.model, new.spec, new.scaled_cost, old.scaled_cost
             );
-            regressed += 1;
+            failed += 1;
             continue;
+        }
+        if new.states_expanded > old.states_expanded || new.states_seen > old.states_seen {
+            println!(
+                "::error title=search effort grew::{}/{}@{}: states_expanded {} (committed {}), \
+                 states_seen {} (committed {})",
+                new.workload,
+                new.model,
+                new.spec,
+                new.states_expanded,
+                old.states_expanded,
+                new.states_seen,
+                old.states_seen
+            );
+            failed += 1;
         }
         if !comparable_host {
             continue;
@@ -841,7 +867,7 @@ pub fn check(dir: &Path) -> usize {
             REGRESSION_THRESHOLD
         };
         if ratio < threshold {
-            regressed += 1;
+            slower += 1;
             println!(
                 "::warning title=perf regression::{}/{}@{}: {} states/s vs committed {} ({:.0}%)",
                 new.workload,
@@ -881,11 +907,12 @@ pub fn check(dir: &Path) -> usize {
         }
     }
     println!(
-        "perf-check: {regressed} regressed cell(s) out of {} measured, {lost} baseline cell(s) \
+        "perf-check: {failed} failed cell(s) (cost drift or more search effort), {slower} \
+         slower cell(s) (timing, never failing) out of {} measured, {lost} baseline cell(s) \
          no longer covered (one-sided cells are not counted)",
         fresh.len()
     );
-    regressed
+    failed
 }
 
 #[cfg(test)]
@@ -988,6 +1015,8 @@ mod tests {
             assert_eq!(p.model, r.model);
             assert_eq!(p.spec, r.spec);
             assert_eq!(p.median_ns, r.median_ns);
+            assert_eq!(p.states_seen, r.states_seen as u128);
+            assert_eq!(p.states_expanded, r.states_expanded as u128);
             assert_eq!(p.states_per_sec, r.states_per_sec);
             assert_eq!(p.scaled_cost, r.scaled_cost);
         }

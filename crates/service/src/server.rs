@@ -21,17 +21,15 @@
 //! ## Supervision
 //!
 //! Worker threads are supervised. The solve itself runs under
-//! `catch_unwind` (per-job search state makes unwinding locally safe —
-//! see [`rbp_solvers::Solver::solve_caught`]), so a panicking solver
-//! yields a structured [`SolveError::Panicked`] and a terminal
-//! [`Event::Failed`], and the worker lives on. If a worker thread dies
-//! anyway (a panic outside the guarded solve), two drop guards fire:
-//! the in-flight job still gets its terminal `Failed` event, and a
-//! replacement worker is spawned before the dead one unwinds — no job
-//! is ever silently lost, and [`ServerStats::worker_restarts`] counts
-//! the respawns. Lock poisoning is tolerated everywhere (queue state
-//! is consistent at every unlock point, so a poisoned mutex is
-//! recovered, not propagated).
+//! `catch_unwind`, so a panicking solver yields a structured
+//! [`SolveError::Panicked`] and a terminal [`Event::Failed`], and the
+//! worker lives on. If a worker thread dies anyway (a panic outside
+//! the guarded solve), two drop guards fire: the in-flight job still
+//! gets its terminal `Failed` event, and a replacement worker is
+//! spawned before the dead one unwinds — no job is ever silently lost,
+//! and [`ServerStats::worker_restarts`] counts the respawns. Lock
+//! poisoning is tolerated everywhere (queue state is consistent at every
+//! unlock point, so a poisoned mutex is recovered, not propagated).
 //!
 //! [`SolveError::Panicked`]: rbp_solvers::SolveError::Panicked
 //!
@@ -773,9 +771,12 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     };
     let ctx = SolveCtx::with_progress(budget, &observer);
 
-    // the solve runs under catch_unwind (same containment contract as
-    // `Solver::solve_caught`: all search state is per-job, so unwinding
-    // is locally safe); a panicking solver costs one job, not a worker
+    // the solve (and the chaos hook's injected panic) runs under
+    // catch_unwind, so a panicking solver costs one job, not a worker.
+    // Unwind safety: every solver keeps its search state (arena, node
+    // tables, heaps) local to the solve call, so an unwound solve leaves
+    // no broken state for a later job to see; `AssertUnwindSafe` asserts
+    // exactly that per-job locality.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         #[cfg(feature = "chaos")]
         if let Some(f) = shared.faults.as_ref() {

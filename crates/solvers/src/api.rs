@@ -9,8 +9,8 @@
 //!
 //! - [`Solver`]: `solve(&self, &Instance, &SolveCtx) -> Result<Solution,
 //!   SolveError>`, implemented by [`ExactSolver`], [`GreedySolver`],
-//!   [`BeamSolver`], [`PortfolioSolver`], the multiprocessor and
-//!   coarsening solvers, and [`crate::visit::VisitOrderSolver`];
+//!   [`BeamSolver`], [`PortfolioSolver`], and the multiprocessor and
+//!   coarsening solvers;
 //! - [`Solution`]: the engine-validated [`Pebbling`] trace, its exact
 //!   [`Cost`], a [`Quality`] provenance tag, and per-solver [`Stats`];
 //! - [`SolveCtx`]: a [`Budget`] (wall-clock deadline, expansion cap,
@@ -418,26 +418,6 @@ pub trait Solver: Send + Sync {
             other => other,
         }
     }
-
-    /// Like [`Solver::solve_lenient`], but additionally contains solver
-    /// panics: an unwind out of the solve is caught and surfaced as
-    /// [`SolveError::Panicked`] instead of killing the calling thread.
-    ///
-    /// Unwind safety: every solver in this crate keeps its search state
-    /// (arena, node tables, heaps) local to the solve call, so an unwound
-    /// solve cannot leave broken state visible to a later call — the
-    /// `AssertUnwindSafe` below asserts exactly that per-job locality.
-    /// Long-running hosts (the service worker pool) use this entry point
-    /// so one poisoned job cannot strand a worker.
-    fn solve_caught(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        match catch_unwind(AssertUnwindSafe(|| self.solve_lenient(instance, ctx))) {
-            Ok(result) => result,
-            Err(payload) => Err(SolveError::Panicked {
-                payload: panic_payload_to_string(payload),
-            }),
-        }
-    }
 }
 
 /// Renders a caught panic payload for logs: the common `&str`/`String`
@@ -602,9 +582,11 @@ impl Solver for ExactSolver {
 // ---------------------------------------------------------------------
 
 /// One greedy rule × eviction policy ([`crate::greedy`]) behind the
-/// [`Solver`] trait. Single-pass and quadratic in the node count (about
-/// 100 ms on the 8448-node matmul16); it ignores the budget and runs to
-/// completion.
+/// [`Solver`] trait. Single-pass and quadratic in the node count: about
+/// 155 ms on the 8448-node matmul16 under the Hong–Kung conventions at
+/// R = 4 (the `heuristic_parity` cell of `cargo bench -p rbp-bench
+/// --bench bench_solvers`, median of ten runs on a 2-core host). It
+/// ignores the budget and runs to completion.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GreedySolver {
     /// Selection rule and eviction policy.
@@ -782,31 +764,6 @@ mod tests {
             ExactSolver::new().solve_default(&inst),
             Err(SolveError::Pebbling(_))
         ));
-    }
-
-    #[test]
-    fn solve_caught_contains_panics_as_structured_errors() {
-        struct Bomb;
-        impl Solver for Bomb {
-            fn name(&self) -> &str {
-                "bomb"
-            }
-            fn solve(&self, _: &Instance, _: &SolveCtx) -> Result<Solution, SolveError> {
-                panic!("kaboom in the search");
-            }
-        }
-        let err = Bomb
-            .solve_caught(&diamond(), &SolveCtx::default())
-            .unwrap_err();
-        match err {
-            SolveError::Panicked { payload } => assert_eq!(payload, "kaboom in the search"),
-            other => panic!("{other:?}"),
-        }
-        // non-panicking solves pass through unchanged
-        let sol = ExactSolver::new()
-            .solve_caught(&diamond(), &SolveCtx::default())
-            .unwrap();
-        assert!(sol.is_optimal());
     }
 
     #[test]

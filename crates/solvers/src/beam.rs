@@ -7,18 +7,21 @@
 //! tie-breaking degenerates to greedy; growing widths trade time for
 //! cost and can escape Theorem-4-style traps that fool every fixed rule.
 //!
-//! The acquisition mechanics per expansion are the greedy solver's:
-//! inputs are loaded (or sources computed on demand), and the greedy
-//! eviction routine under [`EvictionPolicy::MinUses`] deletes dead values
-//! for free, stores sinks, and evicts live victims by
-//! fewest-remaining-uses.
+//! Each partial schedule is a greedy `Board` under
+//! [`EvictionPolicy::MinUses`]: expanding it by a node clones the board
+//! and computes the node there (inputs loaded or sources computed on
+//! demand, dead values deleted for free, sinks stored, live victims
+//! spilled by fewest remaining uses), and the board's running cost
+//! prices it. The beam adds only the candidate enumeration, the
+//! deduplication of identical configurations, and the cut to the `W`
+//! cheapest; the cheapest survivor's `Board::finish` completes the
+//! schedule.
 
 use crate::api::SolveCtx;
 use crate::error::SolveError;
-use crate::greedy::{apply, complete, ensure_slot, EvictionPolicy};
-use rbp_core::{bounds, Instance, Move, Pebbling, SinkConvention, SourceConvention, State};
+use crate::greedy::{Board, EvictionPolicy, Spill};
+use rbp_core::{Instance, Pebbling};
 use rbp_graph::hash::FxHashMap;
-use rbp_graph::NodeId;
 
 /// Beam-search configuration.
 #[derive(Clone, Copy, Debug)]
@@ -46,16 +49,6 @@ impl BeamConfig {
     }
 }
 
-#[derive(Clone)]
-struct BeamNode {
-    state: State,
-    uses: Vec<u32>,
-    pending: Vec<u32>,
-    computed: Vec<bool>,
-    trace: Pebbling,
-    scaled: u128,
-}
-
 /// Builds the cheapest complete schedule the beam finds
 /// ([`crate::api::BeamSolver`] replays it into a
 /// [`crate::api::Solution`]). The budget is polled once per depth (a
@@ -68,75 +61,46 @@ pub(crate) fn solve_beam_budgeted(
     ctx: &SolveCtx,
 ) -> Result<Pebbling, SolveError> {
     cfg.validate()?;
-    bounds::check_feasible(instance)?;
+    let root = Board::new(instance, 1, EvictionPolicy::MinUses, Spill::SinksFirst)?;
     let dag = instance.dag();
-    let n = dag.n();
-    let initially_blue = instance.source_convention() == SourceConvention::InitiallyBlue;
+    // one depth per non-source; finish() pebbles the isolated
+    // source-sinks
+    let total = dag.nodes().filter(|&v| !dag.is_source(v)).count();
 
-    let mut computed0 = vec![false; n];
-    if initially_blue {
-        for v in dag.sources() {
-            computed0[v.index()] = true;
-        }
-    }
-    let pending0: Vec<u32> = (0..n)
-        .map(|v| {
-            dag.preds(NodeId::new(v))
-                .iter()
-                .filter(|&&u| !dag.is_source(u))
-                .count() as u32
-        })
-        .collect();
-    let uses0: Vec<u32> = (0..n)
-        .map(|v| dag.outdegree(NodeId::new(v)) as u32)
-        .collect();
-    // nodes the beam must schedule: non-sources, plus isolated
-    // source-sinks handled in a final pass
-    let total: usize = (0..n).filter(|&v| !dag.is_source(NodeId::new(v))).count();
-
-    let mut beam = vec![BeamNode {
-        state: State::initial(instance),
-        uses: uses0,
-        pending: pending0,
-        computed: computed0,
-        trace: Pebbling::new(),
-        scaled: 0,
-    }];
-
+    let mut beam = vec![root];
     let budget_live = !ctx.budget.is_unlimited();
     let mut generated = 0u64;
     for _depth in 0..total {
         if budget_live && ctx.budget.exhausted(generated) {
             return Err(SolveError::Interrupted);
         }
-        let mut successors: Vec<BeamNode> = Vec::with_capacity(beam.len() * 4);
+        let mut successors: Vec<Board> = Vec::with_capacity(beam.len() * 4);
         let mut seen: FxHashMap<Vec<u64>, u128> = FxHashMap::default();
-        for node in &beam {
-            for v in 0..n {
-                let nv = NodeId::new(v);
-                if node.computed[v] || dag.is_source(nv) || node.pending[v] != 0 {
+        for board in &beam {
+            for v in dag.nodes() {
+                if dag.is_source(v) || board.state().is_computed(v) || board.pending(v) != 0 {
                     continue;
                 }
-                let mut succ = node.clone();
+                let mut succ = board.clone();
                 generated += 1;
-                if expand(instance, &mut succ, nv).is_err() {
+                if succ.compute_on(v, 0).is_err() {
                     continue;
                 }
-                succ.scaled = instance.scaled_cost(&succ.trace.stats().cost());
+                let scaled = succ.scaled_cost();
                 // dedup identical configurations, keep the cheapest
-                let key: Vec<u64> = succ
-                    .state
+                let state = succ.state();
+                let key: Vec<u64> = state
                     .red_set()
                     .words()
                     .iter()
-                    .chain(succ.state.blue_set().words())
-                    .chain(succ.state.computed_set().words())
+                    .chain(state.blue_set().words())
+                    .chain(state.computed_set().words())
                     .copied()
                     .collect();
                 match seen.get(&key) {
-                    Some(&best) if best <= succ.scaled => continue,
+                    Some(&best) if best <= scaled => continue,
                     _ => {
-                        seen.insert(key, succ.scaled);
+                        seen.insert(key, scaled);
                         successors.push(succ);
                     }
                 }
@@ -145,107 +109,22 @@ pub(crate) fn solve_beam_budgeted(
         if successors.is_empty() {
             return Err(SolveError::NoPebblingFound);
         }
-        successors.sort_by_key(|s| s.scaled);
+        successors.sort_by_key(Board::scaled_cost);
         successors.truncate(cfg.width);
         beam = successors;
     }
 
-    let mut best = beam
-        .into_iter()
-        .min_by_key(|b| b.scaled)
-        .expect("beam nonempty");
-    // isolated source-sinks still need pebbles
-    if !initially_blue {
-        for v in dag.nodes() {
-            if dag.is_source(v) && dag.is_sink(v) && !best.computed[v.index()] {
-                evict(instance, &mut best.state, &mut best.trace, &best.uses, &[])?;
-                apply(instance, &mut best.state, &mut best.trace, Move::Compute(v))?;
-            }
-        }
-    }
-    // under RequireBlue, sinks that finished red must be written out
-    if instance.sink_convention() == SinkConvention::RequireBlue {
-        for v in dag.nodes() {
-            if dag.is_sink(v) && best.state.is_red(v) {
-                apply(instance, &mut best.state, &mut best.trace, Move::Store(v))?;
-            }
-        }
-    }
-    complete(instance, &best.state)?;
-    Ok(best.trace)
-}
-
-/// Frees a red slot on a beam node's board: the greedy eviction routine
-/// under [`EvictionPolicy::MinUses`], which reads no recency or RNG state.
-fn evict(
-    instance: &Instance,
-    state: &mut State,
-    trace: &mut Pebbling,
-    uses: &[u32],
-    pinned: &[NodeId],
-) -> Result<(), SolveError> {
-    let policy = EvictionPolicy::MinUses;
-    ensure_slot(
-        instance,
-        state,
-        trace,
-        pinned,
-        uses,
-        policy,
-        &[],
-        &[],
-        &mut 0,
-    )
-}
-
-/// Computes `v` on the node's state: acquire inputs, evict as needed,
-/// compute, update bookkeeping.
-fn expand(instance: &Instance, node: &mut BeamNode, v: NodeId) -> Result<(), SolveError> {
-    let dag = instance.dag();
-    for &u in dag.preds(v) {
-        if node.state.is_red(u) {
-            continue;
-        }
-        evict(
-            instance,
-            &mut node.state,
-            &mut node.trace,
-            &node.uses,
-            dag.preds(v),
-        )?;
-        let mv = if node.state.is_blue(u) {
-            Move::Load(u)
-        } else {
-            Move::Compute(u) // on-demand source
-        };
-        apply(instance, &mut node.state, &mut node.trace, mv)?;
-        if matches!(mv, Move::Compute(_)) {
-            node.computed[u.index()] = true;
-        }
-    }
-    evict(
-        instance,
-        &mut node.state,
-        &mut node.trace,
-        &node.uses,
-        dag.preds(v),
-    )?;
-    apply(instance, &mut node.state, &mut node.trace, Move::Compute(v))?;
-    node.computed[v.index()] = true;
-    for &u in dag.preds(v) {
-        node.uses[u.index()] -= 1;
-    }
-    for &w in dag.succs(v) {
-        node.pending[w.index()] -= 1;
-    }
-    Ok(())
+    beam.into_iter()
+        .min_by_key(Board::scaled_cost)
+        .expect("beam nonempty")
+        .finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{BeamSolver, ExactSolver, GreedySolver, Solution, Solver};
-    use rbp_core::{engine, CostModel};
+    use rbp_core::{engine, CostModel, SinkConvention};
     use rbp_graph::generate;
 
     fn run_beam(instance: &Instance, cfg: BeamConfig) -> Result<Solution, SolveError> {

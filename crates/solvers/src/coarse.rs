@@ -41,7 +41,6 @@
 use crate::api::Quality;
 use crate::api::{Solution, SolveCtx, Solver, Stats};
 use crate::error::SolveError;
-use crate::greedy::apply;
 use crate::registry;
 use rbp_core::bounds;
 use rbp_core::{Instance, Move, Pebbling, State};
@@ -270,6 +269,18 @@ impl Solver for CoarseSolver {
         stats.set("flush_deletes", flush_deletes);
         Solution::replay(instance, trace, false, stats)
     }
+}
+
+/// Applies `mv` to the stitched `state` and records it on `trace`.
+fn apply(
+    instance: &Instance,
+    state: &mut State,
+    trace: &mut Pebbling,
+    mv: Move,
+) -> Result<(), SolveError> {
+    state.apply(mv, instance).map_err(SolveError::Pebbling)?;
+    trace.push(mv);
+    Ok(())
 }
 
 #[cfg(test)]

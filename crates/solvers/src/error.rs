@@ -54,11 +54,11 @@ pub enum SolveError {
     /// degrade to. Solvers that hold an incumbent return it as
     /// [`crate::api::Quality::UpperBound`] instead of this error.
     Interrupted,
-    /// The solver panicked mid-solve and the panic was contained by
-    /// [`crate::api::Solver::solve_caught`]. The per-job search state
-    /// (arena, node table, heaps) died with the unwound stack, so the
-    /// containing process stays healthy; `payload` is the stringified
-    /// panic message for operator logs.
+    /// The solver panicked mid-solve and the host running it under
+    /// `catch_unwind` (the batch-solve service's workers) contained the
+    /// panic. The per-job search state (arena, node table, heaps) died
+    /// with the unwound stack, so the containing process stays healthy;
+    /// `payload` is the stringified panic message for operator logs.
     Panicked {
         /// The panic payload, downcast to a string when possible.
         payload: String,

@@ -1,20 +1,35 @@
-//! The greedy pebbling heuristics of Section 8.
+//! The greedy pebbling heuristics of Section 8, and the one schedule
+//! builder every greedy-style solver drives.
 //!
 //! In the oneshot model a strategy is characterized by the (topological)
 //! order of first computations plus the choice of which red pebbles to
-//! move. The paper's three natural greedy rules pick the next node to
-//! compute among the *enabled* ones (all inputs computed):
+//! move. `Board` owns the second half. Handed a node and a processor,
+//! it brings the node's inputs into that processor's memory (a value red
+//! on another processor travels through shared memory, a blue value is
+//! loaded, an uncomputed source is computed on demand), frees slots as
+//! needed, computes the node, and keeps the running cost and the
+//! uses/pending counters; `Board::finish` completes the schedule. A
+//! solver built on it only chooses the order:
 //!
-//! - largest number of red pebbles among its inputs;
-//! - smallest number of blue pebbles among its inputs;
-//! - largest red-pebbles-to-inputs ratio.
+//! - the Section 8 rules here compute next one of the *enabled* nodes
+//!   (all non-source inputs computed), on processor 0:
+//!   - largest number of red pebbles among its inputs;
+//!   - smallest number of blue pebbles among its inputs;
+//!   - largest red-pebbles-to-inputs ratio;
+//! - [`crate::beam`] keeps the `W` cheapest boards per computation depth;
+//! - [`crate::mpp`]'s list scheduler walks a topological order and picks
+//!   a processor per node.
 //!
 //! The rules say nothing about eviction, so eviction is a pluggable
 //! policy; Theorem 4's constructions defeat every choice, and the
 //! `ablation` experiment measures the policies against each other on
-//! realistic workloads.
+//! realistic workloads. The board always deletes a dead value (no
+//! uncomputed successor, not a sink) first; after that, the rules and
+//! beam store a sink before they spill a live value by the policy's
+//! rank, while the list scheduler spills the live value with the fewest
+//! uses before it stores a sink (`Spill`).
 //!
-//! The solver maintains the invariant that a computed node keeps a pebble
+//! The board maintains the invariant that a computed node keeps a pebble
 //! while it still has uncomputed successors (it is stored, never deleted,
 //! when its slot is needed), which keeps the produced trace legal in all
 //! four models — in base/nodel/compcost this realizes the paper's
@@ -22,9 +37,7 @@
 //! (Appendix A.4).
 
 use crate::error::SolveError;
-use rbp_core::{
-    bounds, Instance, Move, Pebbling, PebblingError, SinkConvention, SourceConvention, State,
-};
+use rbp_core::{bounds, Cost, Instance, Move, Pebbling, PebblingError, SinkConvention, State};
 use rbp_graph::NodeId;
 
 /// Rule for choosing the next node to compute (Section 8).
@@ -127,9 +140,8 @@ impl std::fmt::Display for GreedyConfig {
     }
 }
 
-/// Builds the greedy pebbling under the given configuration: every move
-/// goes through [`State::apply`], and a schedule that leaves a sink
-/// unsatisfied is an error, so the trace is complete and legal
+/// Builds the greedy pebbling under the given configuration on one
+/// [`Board`], so the trace is complete and legal
 /// ([`crate::api::GreedySolver`] replays it once more into a
 /// [`crate::api::Solution`]).
 ///
@@ -142,190 +154,48 @@ pub(crate) fn solve_greedy_with(
     instance: &Instance,
     cfg: GreedyConfig,
 ) -> Result<Pebbling, SolveError> {
-    bounds::check_feasible(instance)?;
+    let mut board = Board::new(instance, 1, cfg.eviction, Spill::SinksFirst)?;
     let dag = instance.dag();
-    let n = dag.n();
-    let initially_blue = instance.source_convention() == SourceConvention::InitiallyBlue;
-
-    let mut state = State::initial(instance);
-    let mut trace = Pebbling::with_capacity(3 * n);
-    // uses[v]: uncomputed successors of v (the value's remaining demand)
-    let mut uses: Vec<u32> = (0..n)
-        .map(|v| dag.outdegree(NodeId::new(v)) as u32)
+    let mut ready: Vec<u32> = dag
+        .nodes()
+        .filter(|&v| !dag.is_source(v) && board.pending(v) == 0)
+        .map(|v| v.index() as u32)
         .collect();
-    // pending[v]: uncomputed non-source predecessors (v is a selection
-    // candidate when it hits 0)
-    let mut pending: Vec<u32> = (0..n)
-        .map(|v| {
-            dag.preds(NodeId::new(v))
-                .iter()
-                .filter(|&&u| !dag.is_source(u))
-                .count() as u32
-        })
-        .collect();
-    let mut computed = vec![false; n];
-    if initially_blue {
-        for v in dag.sources() {
-            computed[v.index()] = true;
-        }
-    }
-
-    let mut ready: Vec<u32> = (0..n as u32)
-        .filter(|&v| {
-            let node = NodeId::new(v as usize);
-            !dag.is_source(node) && pending[v as usize] == 0
-        })
-        .collect();
-
-    // recency bookkeeping for LRU/FIFO
-    let mut clock: u64 = 0;
-    let mut last_touch = vec![0u64; n];
-    let mut placed_at = vec![0u64; n];
-    let mut rng_state = match cfg.eviction {
-        EvictionPolicy::Random(seed) => seed ^ 0x9e37_79b9_7f4a_7c15,
-        _ => 0,
-    };
-
     while !ready.is_empty() {
-        // --- selection ---
-        let chosen = select(&ready, cfg.rule, dag, &state);
-        let v = NodeId::new(chosen as usize);
-        ready.retain(|&c| c != chosen);
-
-        // --- acquire inputs (computing source inputs on demand) ---
-        for &u in dag.preds(v) {
-            if state.is_red(u) {
-                clock += 1;
-                last_touch[u.index()] = clock;
-                continue;
-            }
-            ensure_slot(
-                instance,
-                &mut state,
-                &mut trace,
-                dag.preds(v),
-                &uses,
-                cfg.eviction,
-                &last_touch,
-                &placed_at,
-                &mut rng_state,
-            )?;
-            if state.is_blue(u) {
-                apply(instance, &mut state, &mut trace, Move::Load(u))?;
-            } else {
-                // invariant: a computed value with uncomputed successors
-                // keeps a pebble, so an unpebbled input is an uncomputed
-                // source — compute it on demand
-                debug_assert!(
-                    dag.is_source(u) && !computed[u.index()],
-                    "input v{} lost its pebble",
-                    u.index()
-                );
-                apply(instance, &mut state, &mut trace, Move::Compute(u))?;
-                computed[u.index()] = true;
-            }
-            clock += 1;
-            last_touch[u.index()] = clock;
-            placed_at[u.index()] = clock;
-        }
-
-        // --- compute ---
-        ensure_slot(
-            instance,
-            &mut state,
-            &mut trace,
-            dag.preds(v),
-            &uses,
-            cfg.eviction,
-            &last_touch,
-            &placed_at,
-            &mut rng_state,
-        )?;
-        apply(instance, &mut state, &mut trace, Move::Compute(v))?;
-        clock += 1;
-        last_touch[v.index()] = clock;
-        placed_at[v.index()] = clock;
-        computed[v.index()] = true;
-
-        // --- bookkeeping ---
-        for &u in dag.preds(v) {
-            uses[u.index()] -= 1;
-        }
-        for &w in dag.succs(v) {
-            pending[w.index()] -= 1;
-            if pending[w.index()] == 0 && !computed[w.index()] {
-                ready.push(w.index() as u32);
-            }
-        }
+        // select's choice does not depend on the order of `ready`
+        let at = select(&ready, cfg.rule, dag, board.state());
+        let v = NodeId::new(ready.swap_remove(at) as usize);
+        board.compute_on(v, 0)?;
+        // v was the last uncomputed input of every successor it enabled
+        ready.extend(
+            dag.succs(v)
+                .iter()
+                .filter(|&&w| board.pending(w) == 0)
+                .map(|w| w.index() as u32),
+        );
     }
-
-    // isolated sources (simultaneously sinks) are never demanded by any
-    // computation but still need a pebble for completion
-    if !initially_blue {
-        for v in dag.nodes() {
-            if dag.is_source(v) && dag.is_sink(v) && !computed[v.index()] {
-                ensure_slot(
-                    instance,
-                    &mut state,
-                    &mut trace,
-                    &[],
-                    &uses,
-                    cfg.eviction,
-                    &last_touch,
-                    &placed_at,
-                    &mut rng_state,
-                )?;
-                apply(instance, &mut state, &mut trace, Move::Compute(v))?;
-                computed[v.index()] = true;
-            }
-        }
-    }
-
-    // under RequireBlue, sinks that finished red must be written out
-    if instance.sink_convention() == SinkConvention::RequireBlue {
-        for v in dag.nodes() {
-            if dag.is_sink(v) && state.is_red(v) {
-                apply(instance, &mut state, &mut trace, Move::Store(v))?;
-            }
-        }
-    }
-    complete(instance, &state)?;
-    Ok(trace)
+    board.finish()
 }
 
-/// Applies `mv` to `state` and records it on `trace`.
-pub(crate) fn apply(
-    instance: &Instance,
-    state: &mut State,
-    trace: &mut Pebbling,
-    mv: Move,
-) -> Result<(), SolveError> {
-    state.apply(mv, instance).map_err(SolveError::Pebbling)?;
-    trace.push(mv);
-    Ok(())
-}
-
-/// Rejects a finished schedule that leaves a sink unsatisfied, with the
-/// error the engine's completeness check reports.
-pub(crate) fn complete(instance: &Instance, state: &State) -> Result<(), SolveError> {
-    match state.first_unsatisfied_sink(instance) {
-        Some(sink) => Err(SolveError::Pebbling(PebblingError::Incomplete { sink })),
-        None => Ok(()),
-    }
-}
-
-/// Picks the next node to compute among `ready` under `rule`, breaking
-/// ties toward the lowest node index (deterministic).
-fn select(ready: &[u32], rule: SelectionRule, dag: &rbp_graph::Dag, state: &State) -> u32 {
+/// The position in `ready` of the next node to compute under `rule`,
+/// breaking ties toward the lowest node index (deterministic).
+fn select(ready: &[u32], rule: SelectionRule, dag: &rbp_graph::Dag, state: &State) -> usize {
     debug_assert!(!ready.is_empty(), "DAG exhausted with nodes uncomputed");
     let mut best = u32::MAX;
+    let mut best_at = 0;
     // score encoded so that HIGHER is better for every rule
     let mut best_score = (i64::MIN, i64::MIN);
-    for &c in ready {
+    for (at, &c) in ready.iter().enumerate() {
         let v = NodeId::new(c as usize);
         let preds = dag.preds(v);
-        let red = preds.iter().filter(|&&u| state.is_red(u)).count() as i64;
-        let blue = preds.iter().filter(|&&u| state.is_blue(u)).count() as i64;
+        let (mut red, mut blue) = (0i64, 0i64);
+        for &u in preds {
+            if state.is_red(u) {
+                red += 1;
+            } else if state.is_blue(u) {
+                blue += 1;
+            }
+        }
         let indeg = preds.len() as i64;
         let score = match rule {
             SelectionRule::MostRedInputs => (red, -blue),
@@ -345,55 +215,256 @@ fn select(ready: &[u32], rule: SelectionRule, dag: &rbp_graph::Dag, state: &Stat
         if score > best_score || (score == best_score && c < best) {
             best_score = score;
             best = c;
+            best_at = at;
         }
     }
-    best
+    best_at
 }
 
-/// Frees one red slot if the board is full: deletes a dead value if
-/// possible, otherwise stores the victim chosen by `policy`. Nodes in
-/// `pinned` (the inputs of the node being computed) are never evicted.
-/// `last_touch` and `placed_at` are read only under [`EvictionPolicy::Lru`]
-/// and [`EvictionPolicy::Fifo`], `rng_state` only under
-/// [`EvictionPolicy::Random`] (beam search evicts by
-/// [`EvictionPolicy::MinUses`] with empty slices).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ensure_slot(
-    instance: &Instance,
-    state: &mut State,
-    trace: &mut Pebbling,
-    pinned: &[NodeId],
-    uses: &[u32],
+/// The order in which [`Board`] spills once no dead value is left to
+/// delete.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Spill {
+    /// Store a sink (it never needs a reload) before spilling a live
+    /// value by the eviction policy's rank: the Section 8 rules and beam.
+    SinksFirst,
+    /// Spill a live value by the eviction policy's rank before storing a
+    /// sink: the multiprocessor list scheduler.
+    SinksLast,
+}
+
+/// One schedule under construction: the configuration, the trace that
+/// reached it with its running cost, and the counters the drivers choose
+/// by. Every move goes through [`State::apply_on`], so the trace is legal
+/// at every step.
+#[derive(Clone)]
+pub(crate) struct Board<'a> {
+    instance: &'a Instance,
+    /// The processors the driver schedules on (`0..procs`).
+    procs: u16,
     policy: EvictionPolicy,
-    last_touch: &[u64],
-    placed_at: &[u64],
-    rng_state: &mut u64,
-) -> Result<(), SolveError> {
-    let r_limit = instance.red_limit();
-    while state.red_count() >= r_limit {
+    spill: Spill,
+    state: State,
+    trace: Pebbling,
+    cost: Cost,
+    /// Per-processor running cost, kept only when `procs > 1`.
+    proc_cost: Box<[Cost]>,
+    /// `uses[v]`: uncomputed successors of v (the value's remaining
+    /// demand).
+    uses: Vec<u32>,
+    /// `pending[v]`: uncomputed non-source predecessors (a non-source is
+    /// enabled when it hits 0).
+    pending: Vec<u32>,
+    /// The recency clock and each node's stamp — last touch under
+    /// [`EvictionPolicy::Lru`], placement under [`EvictionPolicy::Fifo`];
+    /// `stamps` is empty under the other policies.
+    clock: u64,
+    stamps: Vec<u64>,
+    /// The xorshift64* state of [`EvictionPolicy::Random`].
+    rng: u64,
+}
+
+impl<'a> Board<'a> {
+    /// The initial board of `instance` for a driver that schedules on
+    /// processors `0..procs`, or the feasibility check's error.
+    pub(crate) fn new(
+        instance: &'a Instance,
+        procs: u16,
+        policy: EvictionPolicy,
+        spill: Spill,
+    ) -> Result<Self, SolveError> {
+        bounds::check_feasible(instance)?;
         let dag = instance.dag();
-        let is_pinned = |v: usize| pinned.iter().any(|p| p.index() == v);
-        let is_live = |v: usize| !is_pinned(v) && !dag.is_sink(NodeId::new(v)) && uses[v] > 0;
-        let rank = |v: usize| match policy {
-            EvictionPolicy::MinUses | EvictionPolicy::Random(_) => u64::from(uses[v]),
-            EvictionPolicy::Lru => last_touch[v],
-            EvictionPolicy::Fifo => placed_at[v],
-        };
-        // class 1: dead non-sink values — free deletion (store in nodel)
-        let mut dead: Option<usize> = None;
-        // class 2: sinks (must store, but never need a reload)
-        let mut sink: Option<usize> = None;
-        // class 3: live values — the lowest (rank, index), and how many
-        let mut live: Option<(u64, usize)> = None;
-        let mut live_count = 0u64;
-        for v in state.red_set().iter() {
-            if is_pinned(v) {
+        let n = dag.n();
+        Ok(Board {
+            instance,
+            procs,
+            policy,
+            spill,
+            state: State::initial(instance),
+            trace: Pebbling::with_capacity(3 * n),
+            cost: Cost::ZERO,
+            proc_cost: if procs > 1 {
+                vec![Cost::ZERO; procs as usize].into()
+            } else {
+                Box::default()
+            },
+            uses: dag.nodes().map(|v| dag.outdegree(v) as u32).collect(),
+            pending: dag
+                .nodes()
+                .map(|v| dag.preds(v).iter().filter(|&&u| !dag.is_source(u)).count() as u32)
+                .collect(),
+            clock: 0,
+            stamps: match policy {
+                EvictionPolicy::Lru | EvictionPolicy::Fifo => vec![0; n],
+                _ => Vec::new(),
+            },
+            rng: match policy {
+                EvictionPolicy::Random(seed) => seed ^ 0x9e37_79b9_7f4a_7c15,
+                _ => 0,
+            },
+        })
+    }
+
+    /// The configuration reached so far.
+    pub(crate) fn state(&self) -> &State {
+        &self.state
+    }
+
+    /// The uncomputed non-source predecessors of `v`.
+    pub(crate) fn pending(&self, v: NodeId) -> u32 {
+        self.pending[v.index()]
+    }
+
+    /// The running cost under the instance's weights
+    /// ([`Instance::scaled_cost`]).
+    pub(crate) fn scaled_cost(&self) -> u128 {
+        self.instance.scaled_cost(&self.cost)
+    }
+
+    /// Processor `proc`'s weighted work so far (the whole cost on a
+    /// one-processor board).
+    pub(crate) fn work(&self, proc: u16) -> u128 {
+        let cost = self.proc_cost.get(proc as usize).unwrap_or(&self.cost);
+        self.instance.scaled_cost(cost)
+    }
+
+    /// Computes `v` on processor `proc`. Each input not yet red there is
+    /// stored by the processor holding it (if another one does), given a
+    /// freed slot, and loaded, or computed if it is an uncomputed source;
+    /// then a freed slot takes `v` itself. The inputs stay pinned
+    /// throughout.
+    pub(crate) fn compute_on(&mut self, v: NodeId, proc: u16) -> Result<(), SolveError> {
+        let dag = self.instance.dag();
+        let preds = dag.preds(v);
+        for &u in preds {
+            if self.state.is_red_on(proc, u) {
+                self.touch(u);
                 continue;
             }
-            if dag.is_sink(NodeId::new(v)) {
+            if let Some(owner) = self.state.owner_of(u) {
+                self.apply_on(Move::Store(u), owner)?;
+            }
+            self.free_slot(proc, preds)?;
+            let mv = if self.state.is_blue(u) {
+                Move::Load(u)
+            } else {
+                // invariant: a computed value with uncomputed successors
+                // keeps a pebble, so an unpebbled input is an uncomputed
+                // source — compute it on demand
+                debug_assert!(
+                    dag.is_source(u) && !self.state.is_computed(u),
+                    "input v{} lost its pebble",
+                    u.index()
+                );
+                Move::Compute(u)
+            };
+            self.apply_on(mv, proc)?;
+            self.place(u);
+        }
+        self.free_slot(proc, preds)?;
+        self.apply_on(Move::Compute(v), proc)?;
+        self.place(v);
+        for &u in preds {
+            self.uses[u.index()] -= 1;
+        }
+        for &w in dag.succs(v) {
+            self.pending[w.index()] -= 1;
+        }
+        Ok(())
+    }
+
+    /// Completes the schedule and returns its trace: computes the
+    /// isolated source-sinks no computation demanded (each on the
+    /// processor with the least work), has every red sink stored by its
+    /// owner under [`SinkConvention::RequireBlue`], and rejects a
+    /// schedule that still leaves a sink unsatisfied with the error the
+    /// engine's completeness check reports.
+    pub(crate) fn finish(mut self) -> Result<Pebbling, SolveError> {
+        let instance = self.instance;
+        let dag = instance.dag();
+        // (under InitiallyBlue every source starts out computed)
+        for v in dag.nodes() {
+            if dag.is_source(v) && dag.is_sink(v) && !self.state.is_computed(v) {
+                let proc = (0..self.procs)
+                    .min_by_key(|&i| (self.work(i), i))
+                    .expect("procs >= 1");
+                self.free_slot(proc, &[])?;
+                self.apply_on(Move::Compute(v), proc)?;
+            }
+        }
+        if instance.sink_convention() == SinkConvention::RequireBlue {
+            for v in dag.nodes() {
+                if let Some(owner) = self.state.owner_of(v).filter(|_| dag.is_sink(v)) {
+                    self.apply_on(Move::Store(v), owner)?;
+                }
+            }
+        }
+        match self.state.first_unsatisfied_sink(instance) {
+            Some(sink) => Err(SolveError::Pebbling(PebblingError::Incomplete { sink })),
+            None => Ok(self.trace),
+        }
+    }
+
+    /// Applies `mv` on processor `proc`, records it and prices it.
+    fn apply_on(&mut self, mv: Move, proc: u16) -> Result<(), SolveError> {
+        let cost = self
+            .state
+            .apply_on(mv, proc, self.instance)
+            .map_err(SolveError::Pebbling)?;
+        self.trace.push_on(mv, proc);
+        self.cost += cost;
+        if let Some(c) = self.proc_cost.get_mut(proc as usize) {
+            *c += cost;
+        }
+        Ok(())
+    }
+
+    /// Frees red slots on processor `proc` until it has one: deletes a
+    /// dead value (stores it where the model forbids deletion), else
+    /// stores a sink or spills a live value in the board's [`Spill`]
+    /// order. Values in `pinned` never move.
+    fn free_slot(&mut self, proc: u16, pinned: &[NodeId]) -> Result<(), SolveError> {
+        while self.state.red_count_on(proc) >= self.instance.red_limit() {
+            let (victim, dead) = self.victim(proc, pinned);
+            let mv = if dead && self.instance.model().allows_delete() {
+                Move::Delete(victim)
+            } else {
+                Move::Store(victim)
+            };
+            self.apply_on(mv, proc)?;
+        }
+        Ok(())
+    }
+
+    /// The value [`Board::free_slot`] moves next, and whether it is dead:
+    /// the lowest-index dead value, else the lowest-index sink or a live
+    /// value in [`Spill`] order. The live value is the one of lowest
+    /// (rank, index), or a pseudo-random one under
+    /// [`EvictionPolicy::Random`].
+    fn victim(&mut self, proc: u16, pinned: &[NodeId]) -> (NodeId, bool) {
+        let dag = self.instance.dag();
+        let (state, uses, stamps) = (&self.state, &self.uses, &self.stamps);
+        let rank = |v: usize| match self.policy {
+            EvictionPolicy::Lru | EvictionPolicy::Fifo => stamps[v],
+            EvictionPolicy::MinUses | EvictionPolicy::Random(_) => u64::from(uses[v]),
+        };
+        // the red values on `proc` that may move, in index order
+        let movable = || {
+            state.red_set().iter().filter(move |&v| {
+                let node = NodeId::new(v);
+                state.is_red_on(proc, node) && !pinned.contains(&node)
+            })
+        };
+        let is_sink = |v: usize| dag.is_sink(NodeId::new(v));
+        let mut sink: Option<usize> = None;
+        let mut live: Option<(u64, usize)> = None;
+        let mut live_count = 0u64;
+        for v in movable() {
+            if is_sink(v) {
                 sink.get_or_insert(v);
             } else if uses[v] == 0 {
-                dead.get_or_insert(v);
+                return (NodeId::new(v), true);
             } else {
                 live_count += 1;
                 if live.is_none_or(|best| (rank(v), v) < best) {
@@ -401,50 +472,53 @@ pub(crate) fn ensure_slot(
                 }
             }
         }
-        let (victim, dispose) = if let Some(v) = dead {
-            (v, instance.model().allows_delete())
-        } else if let Some(v) = sink {
-            (v, false)
-        } else if let Some((_, lowest)) = live {
-            let v = match policy {
-                EvictionPolicy::Random(_) => {
-                    // xorshift64*, then the k-th live value in index order
-                    *rng_state ^= *rng_state << 13;
-                    *rng_state ^= *rng_state >> 7;
-                    *rng_state ^= *rng_state << 17;
-                    let k = (*rng_state % live_count) as usize;
-                    state
-                        .red_set()
-                        .iter()
-                        .filter(|&v| is_live(v))
-                        .nth(k)
-                        .expect("k < live count")
+        let victim = match live {
+            Some((_, lowest)) if sink.is_none() || self.spill == Spill::SinksLast => {
+                match self.policy {
+                    EvictionPolicy::Random(_) => {
+                        // xorshift64*, then the k-th live value in index order
+                        self.rng ^= self.rng << 13;
+                        self.rng ^= self.rng >> 7;
+                        self.rng ^= self.rng << 17;
+                        let k = (self.rng % live_count) as usize;
+                        movable()
+                            .filter(|&v| !is_sink(v) && uses[v] > 0)
+                            .nth(k)
+                            .expect("k < live count")
+                    }
+                    _ => lowest,
                 }
-                _ => lowest,
-            };
-            (v, false)
-        } else {
-            // every red pebble is pinned: the instance budget cannot hold
-            // the inputs plus the result — ruled out by the feasibility
-            // check, so this indicates an internal inconsistency
-            unreachable!("eviction with all pebbles pinned despite feasibility check");
+            }
+            // every red pebble pinned would mean the budget cannot hold
+            // the inputs plus the result, which the feasibility check
+            // rules out
+            _ => sink.expect("eviction with all pebbles pinned despite feasibility check"),
         };
-        let node = NodeId::new(victim);
-        let mv = if dispose {
-            Move::Delete(node)
-        } else {
-            Move::Store(node)
-        };
-        apply(instance, state, trace, mv)?;
+        (NodeId::new(victim), false)
     }
-    Ok(())
+
+    /// Records a use of red `v` (the LRU stamp).
+    fn touch(&mut self, v: NodeId) {
+        if self.policy == EvictionPolicy::Lru {
+            self.place(v);
+        }
+    }
+
+    /// Records that `v` just received its red pebble (the LRU and FIFO
+    /// stamp).
+    fn place(&mut self, v: NodeId) {
+        if let Some(stamp) = self.stamps.get_mut(v.index()) {
+            self.clock += 1;
+            *stamp = self.clock;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{GreedySolver, Solution, Solver};
-    use rbp_core::{engine, CostModel, ModelKind};
+    use rbp_core::{engine, CostModel, ModelKind, SourceConvention};
     use rbp_graph::{generate, DagBuilder};
 
     fn greedy(instance: &Instance, cfg: GreedyConfig) -> Result<Solution, SolveError> {

@@ -105,7 +105,5 @@ pub use mpp::{ExactMppSolver, GreedyMppSolver};
 pub use portfolio::default_portfolio;
 pub use registry::Registry;
 pub use sweep::{check_tradeoff_laws, sweep_r, sweep_r_with, SweepPoint};
-pub use visit::{
-    best_order, best_order_from, held_karp, GroupSpec, GroupedDag, OrderResult, VisitOrderSolver,
-};
+pub use visit::{best_order, best_order_from, held_karp, GroupSpec, GroupedDag, OrderResult};
 pub use wire::{parse_solution, write_solution, WireSolution};

@@ -21,12 +21,14 @@
 //!   and heuristic included. The incumbent seed is the list scheduler
 //!   below at `p > 1` and the classic cost-staged greedy at `p = 1`.
 //! - [`GreedyMppSolver`] (`greedy@mpp[:P]`): a topological list
-//!   scheduler. Each non-source node is assigned to the processor
+//!   scheduler driving the greedy schedule builder (`Board`, see
+//!   [`crate::greedy`]), which brings an input held by another
+//!   processor over through shared memory (store + load). The scheduler
+//!   adds two choices. Each non-source node goes to the processor
 //!   holding most of its inputs red (ties: least accumulated weighted
-//!   work, then lowest index); inputs travel through shared memory
-//!   (store + load) when they live on another processor; eviction stores
-//!   the victim with the fewest uncomputed successors (sinks preferred
-//!   stored, dead values deleted where the model allows).
+//!   work, then lowest index). Its victims are dead values first
+//!   (deleted where the model allows), then the live value with the
+//!   fewest uncomputed successors, then sinks (stored).
 //!
 //! Both are exposed through the registry as `exact@mpp[:P]` and
 //! `greedy@mpp[:P]`, where the optional `P` overrides the instance's
@@ -35,112 +37,19 @@
 use crate::api::{run_exact_family, Solution, SolveCtx, Solver, Stats};
 use crate::error::SolveError;
 use crate::exact::ExactConfig;
-use rbp_core::{bounds, Instance, Move, Pebbling, PebblingError, SourceConvention, State};
-use rbp_graph::NodeId;
+use crate::greedy::{Board, EvictionPolicy, Spill};
+use rbp_core::{Instance, Pebbling};
 use std::cmp::Reverse;
 
-/// The move-application callback the greedy helpers thread through:
-/// `(state, trace, per-processor work, move, processor)`.
-type ApplyMove<'a> =
-    dyn FnMut(&mut State, &mut Pebbling, &mut [u128], Move, u16) -> Result<(), SolveError> + 'a;
-
-/// Greedy multiprocessor list scheduling: nodes in topological order,
-/// each assigned to the processor already holding most of its inputs.
-/// Every move goes through [`State::apply_on`], and a schedule that
-/// leaves a sink unsatisfied is an error, so the processor-tagged trace
-/// is complete and legal.
+/// Greedy multiprocessor list scheduling on one [`Board`]: nodes in
+/// topological order, each assigned to the processor already holding
+/// most of its inputs, so the processor-tagged trace is complete and
+/// legal.
 pub(crate) fn solve_greedy_mpp(instance: &Instance) -> Result<Pebbling, SolveError> {
-    bounds::check_feasible(instance)?;
-    let dag = instance.dag();
-    let n = dag.n();
     // trace tags are u16: a larger machine schedules on its first 65 535
-    let p = u16::try_from(instance.procs()).unwrap_or(u16::MAX);
-    let initially_blue = instance.source_convention() == SourceConvention::InitiallyBlue;
-    let (comm, comp) = instance.cost_scales();
-    let allows_delete = instance.model().allows_delete();
-
-    let mut state = State::initial(instance);
-    let mut trace = Pebbling::with_capacity(3 * n);
-    // uses[v]: uncomputed successors (remaining demand for v's value)
-    let mut uses: Vec<u32> = (0..n)
-        .map(|v| dag.outdegree(NodeId::new(v)) as u32)
-        .collect();
-    let mut computed = vec![false; n];
-    if initially_blue {
-        for v in dag.sources() {
-            computed[v.index()] = true;
-        }
-    }
-    // weighted accumulated work per processor (load-balancing tiebreak)
-    let mut work: Vec<u128> = vec![0; p as usize];
-
-    let mut apply = |state: &mut State,
-                     trace: &mut Pebbling,
-                     work: &mut [u128],
-                     mv: Move,
-                     proc: u16|
-     -> Result<(), SolveError> {
-        state
-            .apply_on(mv, proc, instance)
-            .map_err(SolveError::Pebbling)?;
-        trace.push_on(mv, proc);
-        work[proc as usize] += match mv {
-            Move::Load(_) | Move::Store(_) => comm as u128,
-            Move::Compute(_) => comp as u128,
-            Move::Delete(_) => 0,
-        };
-        Ok(())
-    };
-
-    // Frees one slot on processor `i` if its memory is full. Victims:
-    // dead non-sinks first (deleted where legal, else stored), then the
-    // live value with the fewest uncomputed successors (sinks last —
-    // they are stored, never deleted). `pinned` values never move.
-    let ensure_slot = |state: &mut State,
-                       trace: &mut Pebbling,
-                       work: &mut [u128],
-                       apply: &mut ApplyMove<'_>,
-                       uses: &[u32],
-                       i: u16,
-                       pinned: &[NodeId]|
-     -> Result<(), SolveError> {
-        while state.red_count_on(i) >= instance.red_limit() {
-            let is_pinned = |v: usize| pinned.iter().any(|u| u.index() == v);
-            let mut dead: Option<usize> = None;
-            let mut sink: Option<usize> = None;
-            let mut live: Option<(u32, usize)> = None;
-            for (v, &demand) in uses.iter().enumerate() {
-                if !state.is_red_on(i, NodeId::new(v)) || is_pinned(v) {
-                    continue;
-                }
-                if dag.is_sink(NodeId::new(v)) {
-                    sink.get_or_insert(v);
-                } else if demand == 0 {
-                    dead.get_or_insert(v);
-                } else if live.is_none_or(|(u, w)| (demand, v) < (u, w)) {
-                    live = Some((demand, v));
-                }
-            }
-            let (victim, dispose) = if let Some(v) = dead {
-                (v, allows_delete)
-            } else if let Some((_, v)) = live {
-                (v, false)
-            } else if let Some(v) = sink {
-                (v, false)
-            } else {
-                unreachable!("eviction with all pebbles pinned despite feasibility check");
-            };
-            let node = NodeId::new(victim);
-            let mv = if dispose {
-                Move::Delete(node)
-            } else {
-                Move::Store(node)
-            };
-            apply(state, trace, work, mv, i)?;
-        }
-        Ok(())
-    };
-
+    let procs = u16::try_from(instance.procs()).unwrap_or(u16::MAX);
+    let mut board = Board::new(instance, procs, EvictionPolicy::MinUses, Spill::SinksLast)?;
+    let dag = instance.dag();
     for v in rbp_graph::topological_order(dag) {
         if dag.is_source(v) {
             continue; // sources are computed on demand, on the consumer
@@ -148,77 +57,18 @@ pub(crate) fn solve_greedy_mpp(instance: &Instance) -> Result<Pebbling, SolveErr
         let preds = dag.preds(v);
         // processor choice: most inputs already red there, then least
         // accumulated weighted work, then lowest index
-        let i = (0..p)
+        let proc = (0..procs)
             .min_by_key(|&i| {
-                let red_here = preds.iter().filter(|&&u| state.is_red_on(i, u)).count();
-                (Reverse(red_here), work[i as usize], i)
+                let red_here = preds
+                    .iter()
+                    .filter(|&&u| board.state().is_red_on(i, u))
+                    .count();
+                (Reverse(red_here), board.work(i), i)
             })
             .expect("p >= 1");
-        // acquire inputs on processor i
-        for &u in preds {
-            if state.is_red_on(i, u) {
-                continue;
-            }
-            if let Some(j) = state.owner_of(u) {
-                // ship through shared memory: store on the holder...
-                apply(&mut state, &mut trace, &mut work, Move::Store(u), j)?;
-            }
-            ensure_slot(
-                &mut state, &mut trace, &mut work, &mut apply, &uses, i, preds,
-            )?;
-            if state.is_blue(u) {
-                apply(&mut state, &mut trace, &mut work, Move::Load(u), i)?;
-            } else {
-                // an unpebbled input is an uncomputed source
-                debug_assert!(
-                    dag.is_source(u) && !computed[u.index()],
-                    "input v{} lost its pebble",
-                    u.index()
-                );
-                apply(&mut state, &mut trace, &mut work, Move::Compute(u), i)?;
-                computed[u.index()] = true;
-            }
-        }
-        ensure_slot(
-            &mut state, &mut trace, &mut work, &mut apply, &uses, i, preds,
-        )?;
-        apply(&mut state, &mut trace, &mut work, Move::Compute(v), i)?;
-        computed[v.index()] = true;
-        for &u in preds {
-            uses[u.index()] -= 1;
-        }
+        board.compute_on(v, proc)?;
     }
-
-    // isolated source-sinks are never demanded but still need a pebble
-    if !initially_blue {
-        for v in dag.nodes() {
-            if dag.is_source(v) && dag.is_sink(v) && !computed[v.index()] {
-                let i = (0..p)
-                    .min_by_key(|&i| (work[i as usize], i))
-                    .expect("p >= 1");
-                ensure_slot(&mut state, &mut trace, &mut work, &mut apply, &uses, i, &[])?;
-                apply(&mut state, &mut trace, &mut work, Move::Compute(v), i)?;
-                computed[v.index()] = true;
-            }
-        }
-    }
-
-    // under RequireBlue, sinks that finished red must be written out by
-    // whichever processor holds them
-    if instance.sink_convention() == rbp_core::SinkConvention::RequireBlue {
-        for v in dag.nodes() {
-            if dag.is_sink(v) && !state.is_blue(v) {
-                if let Some(j) = state.owner_of(v) {
-                    apply(&mut state, &mut trace, &mut work, Move::Store(v), j)?;
-                }
-            }
-        }
-    }
-
-    if let Some(sink) = state.first_unsatisfied_sink(instance) {
-        return Err(SolveError::Pebbling(PebblingError::Incomplete { sink }));
-    }
-    Ok(trace)
+    board.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -347,7 +197,7 @@ fn add_mpp_stats(instance: &Instance, sol: &mut Solution) {
 mod tests {
     use super::*;
     use crate::api::ExactSolver;
-    use rbp_core::{engine, CostModel, ModelKind, MppDim, Ratio, SinkConvention};
+    use rbp_core::{engine, CostModel, ModelKind, MppDim, Ratio, SinkConvention, SourceConvention};
     use rbp_graph::{generate, DagBuilder};
 
     /// The proved `exact@mpp` optimum of `inst` at its own `p`.

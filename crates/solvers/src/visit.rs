@@ -477,48 +477,6 @@ pub fn held_karp(
     Some((best, order))
 }
 
-/// A [`GroupedDag`]'s branch-and-bound visit-order search behind the
-/// [`Solver`](crate::api::Solver) trait: the grouped structure is fixed
-/// at construction, so any instance over the same DAG solves through the
-/// one unified interface. The answer is an upper bound (optimal only
-/// among grouped schedules, unless its cost meets the structural lower
-/// bound); node-level order is recoverable via
-/// [`Pebbling::first_computations`]. The budget is ignored (the search
-/// is exponential only in the *group* count, which the paper's
-/// constructions keep ≤ ~10).
-pub struct VisitOrderSolver {
-    grouped: GroupedDag,
-}
-
-impl VisitOrderSolver {
-    /// Wraps a grouped view of the DAG.
-    pub fn new(grouped: GroupedDag) -> Self {
-        VisitOrderSolver { grouped }
-    }
-
-    /// The underlying group structure.
-    pub fn grouped(&self) -> &GroupedDag {
-        &self.grouped
-    }
-}
-
-impl crate::api::Solver for VisitOrderSolver {
-    fn name(&self) -> &str {
-        "visit-order"
-    }
-
-    fn solve(
-        &self,
-        instance: &Instance,
-        _ctx: &crate::api::SolveCtx,
-    ) -> Result<crate::api::Solution, SolveError> {
-        let res = best_order(&self.grouped, instance)?;
-        let mut stats = crate::api::Stats::new();
-        stats.set("groups", self.grouped.len() as u64);
-        crate::api::Solution::replay(instance, res.trace, false, stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,9 +2,9 @@
 //! trace validity on random instances.
 
 use proptest::prelude::*;
-use rbp_core::{engine, CostModel, Instance, ModelKind};
+use rbp_core::{engine, CostModel, Instance, ModelKind, SinkConvention, SourceConvention};
 use rbp_graph::DagBuilder;
-use rbp_solvers::api::{ExactSolver, GreedySolver, Solver};
+use rbp_solvers::api::{ExactSolver, Solver};
 use rbp_solvers::{
     best_order, registry, EvictionPolicy, ExactConfig, GreedyConfig, GroupSpec, GroupedDag,
     SelectionRule, StateArena,
@@ -112,21 +112,58 @@ fn arb_grouped(max_groups: usize) -> impl Strategy<Value = (rbp_graph::Dag, Grou
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every greedy configuration yields a valid trace whose engine cost
-    /// equals the reported cost, in every model.
+    /// Every solver built on the greedy schedule builder — the nine
+    /// deterministic greedy configurations, random eviction, the
+    /// portfolio, beam and the multiprocessor list scheduler — yields a
+    /// trace the independent certifier accepts at the reported cost, in
+    /// every model, under both source and both sink conventions, with
+    /// 0–2 red pebbles of slack.
     #[test]
-    fn greedy_matrix_always_validates(dag in arb_dag(10), kind in 0usize..4) {
+    fn greedy_matrix_always_validates(
+        dag in arb_dag(10),
+        kind in 0usize..4,
+        initially_blue in any::<bool>(),
+        require_blue in any::<bool>(),
+        slack in 0usize..=2,
+    ) {
         let model = CostModel::of_kind(ModelKind::ALL[kind]);
-        let r = dag.max_indegree() + 1;
-        let inst = Instance::new(dag, r, model);
+        let r = dag.max_indegree() + 1 + slack;
+        let mut inst = Instance::new(dag, r, model);
+        if initially_blue {
+            inst = inst.with_source_convention(SourceConvention::InitiallyBlue);
+        }
+        if require_blue {
+            inst = inst.with_sink_convention(SinkConvention::RequireBlue);
+        }
+        let mut specs: Vec<String> = Vec::new();
         for rule in SelectionRule::ALL {
             for eviction in EvictionPolicy::DETERMINISTIC {
-                let rep = GreedySolver::with_config(GreedyConfig { rule, eviction })
-                    .solve_default(&inst)
-                    .unwrap();
-                let sim = engine::simulate(&inst, &rep.trace).unwrap();
-                prop_assert_eq!(sim.cost, rep.cost);
+                specs.push(format!("greedy:{}", GreedyConfig { rule, eviction }));
             }
+        }
+        for spec in [
+            "greedy:most-red-inputs/random(7)",
+            "portfolio",
+            "beam:1",
+            "beam:3",
+            "greedy@mpp:1",
+            "greedy@mpp:2",
+            "greedy@mpp:4",
+        ] {
+            specs.push(spec.to_string());
+        }
+        for spec in &specs {
+            let solver = registry::solver(spec).unwrap();
+            let sol = solver.solve_default(&inst).unwrap();
+            let problem = solver.problem(&inst);
+            let cert = rbp_core::certify(&problem, &sol.trace);
+            prop_assert!(
+                cert.as_ref().is_ok_and(|c| c.matches(&sol.cost)),
+                "{}: certificate {:?} for reported cost {:?}",
+                spec,
+                cert,
+                sol.cost
+            );
         }
     }
 
