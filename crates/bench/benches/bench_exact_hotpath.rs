@@ -1,6 +1,6 @@
 //! Exact-solver hot-path benchmark: the same {chain, pyramid, grid,
 //! layered, matmul, fft} × {base, oneshot, nodel} matrix the
-//! `perf-snapshot` experiment records to `BENCH_exact.json`, run under
+//! `perf-check` experiment records to `BENCH_exact.json`, run under
 //! criterion for interactive before/after comparisons.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};

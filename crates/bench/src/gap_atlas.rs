@@ -1,14 +1,15 @@
-//! `gap-atlas`: worst-observed heuristic/optimal ratios per (model, spec).
+//! `gap-check`: worst-observed heuristic/optimal ratios per (model, spec).
 //!
 //! Demaine–Liu and Chan et al. (PAPERS.md) predict large approximation
 //! gaps between pebbling heuristics and optima. This module measures
 //! them empirically: every heuristic registry spec in [`HEUR_SPECS`] is
 //! swept against the exact optimum over a fixed instance pool — the
-//! perf-snapshot workload matrix plus a seeded slice of the random
+//! perf-check workload matrix plus a seeded slice of the random
 //! ensembles ([`rbp_workloads::ensemble`]) — and the worst observed
 //! ratio per (model, spec) is committed to `GAP_ATLAS.json` at the
-//! workspace root, diffed in CI by `gap-check` exactly like
-//! `BENCH_exact.json` is by `perf-check`.
+//! workspace root. [`check`] (`gap-check`) re-records the file and diffs
+//! it against `HEAD`'s copy through the same gate ([`crate::gate`]) that
+//! `perf-check` uses for `BENCH_exact.json`.
 //!
 //! Ratios are recorded as integer **milli-ratios** (`heur·1000 / opt`,
 //! floor division over ε-scaled costs) so the file stays byte-stable:
@@ -19,6 +20,7 @@
 //! heuristic that pays a positive cost where the optimum is free is
 //! reported, via the `worst_zero_opt_cost` column.
 
+use crate::gate::{self, num_field, str_field, Row};
 use crate::perf_snapshot;
 use crate::report::Table;
 use rbp_core::{bounds, Instance, ModelKind};
@@ -29,6 +31,9 @@ use std::path::Path;
 
 /// The atlas JSON schema id.
 pub const SCHEMA: &str = "rbp-gap-atlas/v1";
+
+/// The committed atlas's file name, at the workspace root.
+pub const FILE: &str = "GAP_ATLAS.json";
 
 /// The heuristic specs the atlas tracks against `exact`. The random
 /// evictor is deliberately absent: the atlas must be deterministic to
@@ -96,7 +101,7 @@ fn kind_name(kind: ModelKind) -> &'static str {
     }
 }
 
-/// The instance pool: the perf-snapshot workload matrix (named,
+/// The instance pool: the perf-check workload matrix (named,
 /// exact-tractable by construction) plus [`ENSEMBLE_COUNT`] seeded
 /// random ensemble instances covering all four models and both
 /// source/sink conventions.
@@ -131,16 +136,17 @@ pub fn large_pool() -> Vec<(String, Instance)> {
         .collect()
 }
 
-/// Sweeps [`COARSE_SPECS`] over [`large_pool`], anchoring each ratio on
-/// the fractional lower bound rather than an exact optimum (see
-/// [`COARSE_SPECS`]). Folds into one [`GapRow`] per (model, spec), same
-/// shape and sort order as [`measure`] so the rows merge into the same
-/// atlas file.
-pub fn measure_coarse() -> Vec<GapRow> {
-    let pool = large_pool();
+/// Folds `specs` over `pool` into one [`GapRow`] per (model, spec),
+/// each cost compared against the instance's `anchor`: its reference
+/// cost, or `None` to skip the instance.
+fn fold(
+    pool: &[(String, Instance)],
+    specs: &[&str],
+    anchor: impl Fn(&Instance) -> Option<u128>,
+) -> Vec<GapRow> {
     let mut rows: Vec<GapRow> = Vec::new();
     for kind in ModelKind::ALL {
-        for spec in COARSE_SPECS {
+        for &spec in specs {
             rows.push(GapRow {
                 model: kind_name(kind).to_string(),
                 spec: spec.to_string(),
@@ -154,29 +160,31 @@ pub fn measure_coarse() -> Vec<GapRow> {
             });
         }
     }
-    for (name, inst) in &pool {
-        let lb = inst.scaled_cost(&bounds::best_lower_bound(inst));
+    for (name, inst) in pool {
+        let Some(reference) = anchor(inst) else {
+            continue;
+        };
         let model = kind_name(inst.model().kind());
-        for spec in COARSE_SPECS {
-            let coarse = registry::solve(spec, inst)
-                .expect("coarse cannot exhaust resources on the large pool");
-            let cost = coarse.scaled_cost(inst);
+        for &spec in specs {
+            let cost = registry::solve(spec, inst)
+                .expect("heuristics cannot exhaust resources on the atlas pools")
+                .scaled_cost(inst);
             let row = rows
                 .iter_mut()
                 .find(|r| r.model == model && r.spec == spec)
                 .expect("row pre-seeded");
-            if lb == 0 {
+            if reference == 0 {
                 row.zero_opt_cells += 1;
                 row.worst_zero_opt_cost = row.worst_zero_opt_cost.max(cost);
                 continue;
             }
             row.cells += 1;
-            let milli = cost * 1000 / lb;
+            let milli = cost * 1000 / reference;
             if milli > row.worst_milli {
                 row.worst_milli = milli;
                 row.instance = name.clone();
                 row.heuristic_cost = cost;
-                row.optimal_cost = lb;
+                row.optimal_cost = reference;
             }
         }
     }
@@ -184,59 +192,19 @@ pub fn measure_coarse() -> Vec<GapRow> {
     rows
 }
 
-/// Sweeps the pool and folds it into one [`GapRow`] per (model, spec).
-/// Rows come out sorted by (model, spec) so the JSON is byte-stable.
+/// Sweeps [`HEUR_SPECS`] over [`pool`] against the `exact` optimum and
+/// [`COARSE_SPECS`] over [`large_pool`] against
+/// [`bounds::best_lower_bound`]. Rows come out sorted by (model, spec)
+/// so the JSON is byte-stable.
 pub fn measure() -> Vec<GapRow> {
-    let pool = pool();
-    let mut rows: Vec<GapRow> = Vec::new();
-    for kind in ModelKind::ALL {
-        for spec in HEUR_SPECS {
-            rows.push(GapRow {
-                model: kind_name(kind).to_string(),
-                spec: spec.to_string(),
-                worst_milli: 0,
-                instance: String::new(),
-                heuristic_cost: 0,
-                optimal_cost: 0,
-                cells: 0,
-                zero_opt_cells: 0,
-                worst_zero_opt_cost: 0,
-            });
-        }
-    }
-    for (name, inst) in &pool {
+    let mut rows = fold(&pool(), &HEUR_SPECS, |inst| {
         let anchor = registry::solve("exact", inst).expect("pool instances are feasible");
-        if !anchor.is_optimal() {
-            // a budget-degraded anchor would poison every ratio
-            continue;
-        }
-        let opt = anchor.scaled_cost(inst);
-        let model = kind_name(inst.model().kind());
-        for spec in HEUR_SPECS {
-            let heur = registry::solve(spec, inst)
-                .expect("heuristics cannot exhaust resources on the pool");
-            let cost = heur.scaled_cost(inst);
-            let row = rows
-                .iter_mut()
-                .find(|r| r.model == model && r.spec == spec)
-                .expect("row pre-seeded");
-            if opt == 0 {
-                row.zero_opt_cells += 1;
-                row.worst_zero_opt_cost = row.worst_zero_opt_cost.max(cost);
-                continue;
-            }
-            row.cells += 1;
-            let milli = cost * 1000 / opt;
-            if milli > row.worst_milli {
-                row.worst_milli = milli;
-                row.instance = name.clone();
-                row.heuristic_cost = cost;
-                row.optimal_cost = opt;
-            }
-        }
-    }
-    rows.retain(|r| r.cells > 0 || r.zero_opt_cells > 0);
-    rows.extend(measure_coarse());
+        // a budget-degraded anchor would poison every ratio
+        anchor.is_optimal().then(|| anchor.scaled_cost(inst))
+    });
+    rows.extend(fold(&large_pool(), &COARSE_SPECS, |inst| {
+        Some(inst.scaled_cost(&bounds::best_lower_bound(inst)))
+    }));
     rows.sort_by(|a, b| (&a.model, &a.spec).cmp(&(&b.model, &b.spec)));
     rows
 }
@@ -244,15 +212,15 @@ pub fn measure() -> Vec<GapRow> {
 /// Writes the atlas as `<dir>/GAP_ATLAS.json` and returns the path.
 pub fn write_json(rows: &[GapRow], dir: &Path) -> std::io::Result<std::path::PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join("GAP_ATLAS.json");
+    let path = dir.join(FILE);
     let mut f = std::fs::File::create(&path)?;
     writeln!(f, "{{")?;
     writeln!(f, "  \"schema\": \"{SCHEMA}\",")?;
     writeln!(
         f,
         "  \"description\": \"worst observed heuristic/optimal milli-ratios per (model, spec); \
-         deterministic — regenerate with `cargo run --release -p rbp-bench --bin experiments -- \
-         gap-atlas`, diff with `... -- gap-check`\","
+         deterministic — re-record and diff against HEAD's copy with `cargo run --release -p \
+         rbp-bench --bin experiments -- gap-check`\","
     )?;
     writeln!(f, "  \"seed\": {ATLAS_SEED},")?;
     writeln!(f, "  \"ensemble_count\": {ENSEMBLE_COUNT},")?;
@@ -283,7 +251,7 @@ pub fn write_json(rows: &[GapRow], dir: &Path) -> std::io::Result<std::path::Pat
 
 fn print_table(rows: &[GapRow]) {
     let mut table = Table::new(
-        "gap-atlas — worst heuristic/optimal ratios (milli, over positive-optimum cells)",
+        "gap-check — worst heuristic/optimal ratios (milli, over positive-optimum cells)",
         &[
             "model",
             "spec",
@@ -312,18 +280,6 @@ fn print_table(rows: &[GapRow]) {
     table.print();
 }
 
-/// Runs the sweep and writes `<dir>/GAP_ATLAS.json`.
-pub fn run(dir: &Path) {
-    let rows = measure();
-    print_table(&rows);
-    let path = write_json(&rows, dir).expect("write GAP_ATLAS.json");
-    println!("  wrote {}", path.display());
-}
-
-// ---------------------------------------------------------------------
-// gap-check: diff a fresh atlas against the committed baseline
-// ---------------------------------------------------------------------
-
 /// Parses a committed `GAP_ATLAS.json` (own fixed format, no JSON
 /// dependency). `None` when the schema line is missing or wrong.
 pub fn parse_atlas(json: &str) -> Option<Vec<GapRow>> {
@@ -336,120 +292,78 @@ pub fn parse_atlas(json: &str) -> Option<Vec<GapRow>> {
             continue;
         }
         rows.push(GapRow {
-            model: perf_snapshot::str_field(line, "model")?,
-            spec: perf_snapshot::str_field(line, "spec")?,
-            worst_milli: perf_snapshot::num_field(line, "worst_milli")?,
-            instance: perf_snapshot::str_field(line, "instance")?,
-            heuristic_cost: perf_snapshot::num_field(line, "heuristic_cost")?,
-            optimal_cost: perf_snapshot::num_field(line, "optimal_cost")?,
-            cells: perf_snapshot::num_field(line, "cells")? as usize,
-            zero_opt_cells: perf_snapshot::num_field(line, "zero_opt_cells")? as usize,
-            worst_zero_opt_cost: perf_snapshot::num_field(line, "worst_zero_opt_cost")?,
+            model: str_field(line, "model")?,
+            spec: str_field(line, "spec")?,
+            worst_milli: num_field(line, "worst_milli")?,
+            instance: str_field(line, "instance")?,
+            heuristic_cost: num_field(line, "heuristic_cost")?,
+            optimal_cost: num_field(line, "optimal_cost")?,
+            cells: num_field(line, "cells")? as usize,
+            zero_opt_cells: num_field(line, "zero_opt_cells")? as usize,
+            worst_zero_opt_cost: num_field(line, "worst_zero_opt_cost")?,
         });
     }
     Some(rows)
 }
 
-/// The `HEAD`-committed atlas, when `dir` is inside a git checkout.
-fn git_show_baseline(dir: &Path) -> Option<String> {
-    let out = std::process::Command::new("git")
-        .arg("-C")
-        .arg(dir)
-        .args(["show", "HEAD:GAP_ATLAS.json"])
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
+/// A row regresses when its worst ratio grows.
+impl Row for GapRow {
+    fn key(&self) -> String {
+        format!("{}/{}", self.model, self.spec)
     }
-    String::from_utf8(out.stdout).ok()
+
+    fn regression(&self, old: &Self) -> Option<String> {
+        (self.worst_milli > old.worst_milli).then(|| {
+            format!(
+                "worst ratio {} milli vs committed {} (on {})",
+                self.worst_milli, old.worst_milli, self.instance
+            )
+        })
+    }
 }
 
-/// `gap-check`: diffs a fresh atlas against the committed
-/// `GAP_ATLAS.json`, emitting one `::error::` annotation per row whose
-/// worst ratio **grew** (a heuristic regression) and an informational
-/// line per row that improved. Rows present on only one side are
-/// warn-and-skip — never counted — so adding a spec or a model extends
-/// the atlas without breaking CI. Returns the number of regressed rows;
-/// the `experiments` binary exits non-zero when it is positive.
-///
-/// With `GAP_CHECK_REUSE_ATLAS=1` (set by the CI job right after its
-/// `gap-atlas` step) the on-disk file is reused as the fresh side
-/// instead of re-running the sweep.
+/// `gap-check`: reads `HEAD`'s `GAP_ATLAS.json` as the baseline
+/// ([`gate::committed`]), sweeps the atlas once, rewrites
+/// `<dir>/GAP_ATLAS.json`, and diffs the two through [`gate::diff`]: an
+/// `::error::` per row whose worst ratio **grew** (a heuristic
+/// regression), an informational line per row that improved or held.
+/// Returns the number of regressed rows; the `experiments` binary exits
+/// non-zero when it is positive.
 pub fn check(dir: &Path) -> usize {
-    let path = dir.join("GAP_ATLAS.json");
-    let disk = std::fs::read_to_string(&path).ok();
-    let Some(committed) = git_show_baseline(dir).or_else(|| disk.clone()) else {
-        println!(
-            "gap-check: no committed {} — nothing to diff",
-            path.display()
-        );
+    let committed = gate::committed(dir, FILE);
+    let fresh = measure();
+    print_table(&fresh);
+    let path = write_json(&fresh, dir).expect("write GAP_ATLAS.json");
+    println!("  wrote {}", path.display());
+    let Some(baseline) = committed.as_deref().and_then(parse_atlas) else {
+        println!("gap-check: no committed {FILE} of schema {SCHEMA} — nothing to diff");
         return 0;
     };
-    let Some(baseline) = parse_atlas(&committed) else {
-        println!(
-            "gap-check: {} is not schema {SCHEMA}; regenerate with `experiments gap-atlas`",
-            path.display()
-        );
-        return 0;
-    };
-    let reuse = std::env::var("GAP_CHECK_REUSE_ATLAS").is_ok_and(|v| v == "1");
-    let fresh = match disk.as_deref().filter(|d| reuse && *d != committed) {
-        Some(regenerated) => match parse_atlas(regenerated) {
-            Some(rows) => {
-                println!("gap-check: reusing the regenerated on-disk atlas as the fresh side");
-                rows
-            }
-            None => measure(),
-        },
-        None => measure(),
-    };
-    let mut regressed = 0;
-    for new in &fresh {
-        let Some(old) = baseline
-            .iter()
-            .find(|r| r.model == new.model && r.spec == new.spec)
-        else {
+    let outcome = gate::diff("gap-check", &baseline, &fresh, |new, old| {
+        if new.worst_milli < old.worst_milli {
             println!(
-                "gap-check: new row {}/{} (no baseline; skipped)",
-                new.model, new.spec
+                "gap-check: {} improved: {} milli vs committed {}",
+                new.key(),
+                new.worst_milli,
+                old.worst_milli
             );
-            continue;
-        };
-        if new.worst_milli > old.worst_milli {
-            regressed += 1;
+        } else if new.worst_milli == old.worst_milli {
             println!(
-                "::error title=approximation gap grew::{}/{}: worst ratio {} milli vs \
-                 committed {} (on {})",
-                new.model, new.spec, new.worst_milli, old.worst_milli, new.instance
-            );
-        } else if new.worst_milli < old.worst_milli {
-            println!(
-                "gap-check: {}/{} improved: {} milli vs committed {}",
-                new.model, new.spec, new.worst_milli, old.worst_milli
-            );
-        } else {
-            println!(
-                "gap-check: {}/{} unchanged ({} milli)",
-                new.model, new.spec, new.worst_milli
+                "gap-check: {} unchanged ({} milli)",
+                new.key(),
+                new.worst_milli
             );
         }
-    }
-    for old in &baseline {
-        if !fresh
-            .iter()
-            .any(|r| r.model == old.model && r.spec == old.spec)
-        {
-            println!(
-                "gap-check: baseline row {}/{} no longer measured (skipped)",
-                old.model, old.spec
-            );
-        }
-    }
+    });
     println!(
-        "gap-check: {regressed} regressed row(s) out of {} measured",
-        fresh.len()
+        "gap-check: {} regressed row(s) out of {} measured, {} new and {} lost row(s) \
+         (one-sided rows are not counted)",
+        outcome.failed,
+        fresh.len(),
+        outcome.new,
+        outcome.lost
     );
-    regressed
+    outcome.failed
 }
 
 #[cfg(test)]

@@ -11,16 +11,16 @@
 //! or a single experiment by id (`table1`, `table2`, `fig1`, `fig2`,
 //! `fig4`, `fig5`, `fig67`, `fig8`, `workloads`, `ablation`).
 //!
-//! The extra `perf-snapshot` id (not part of `all`) records exact-solver
-//! hot-path baselines of the incumbent-seeded `exact` spec to
-//! `BENCH_exact.json` at the workspace root, and
-//! `perf-check` diffs a fresh measurement against that committed
-//! baseline — see [`perf_snapshot`]. Likewise `gap-atlas` records the
-//! worst observed heuristic/optimal ratios per (model, spec) to
-//! `GAP_ATLAS.json`, diffed by `gap-check` — see [`gap_atlas`]. Both
-//! checks exit non-zero on a deterministic regression (a cost that
-//! drifts, a search that expands or interns more states, a worst ratio
-//! that grows); timing only warns.
+//! Two more ids, not part of `all`, keep the committed baselines at the
+//! workspace root: `perf-check` re-records `BENCH_exact.json`, the
+//! exact-solver hot path of the incumbent-seeded `exact` spec (see
+//! [`perf_snapshot`]), and `gap-check` re-records `GAP_ATLAS.json`, the
+//! worst observed heuristic/optimal ratios per (model, spec) (see
+//! [`gap_atlas`]). Each reads `HEAD`'s copy first, measures once,
+//! rewrites the file and diffs the two through one gate ([`gate`]),
+//! exiting non-zero on a deterministic regression (a cost that drifts, a
+//! search that expands or interns more states, a worst ratio that
+//! grows); timing only warns.
 
 pub mod exp_ablation;
 pub mod exp_fig1;
@@ -33,6 +33,7 @@ pub mod exp_table1;
 pub mod exp_table2;
 pub mod exp_workloads;
 pub mod gap_atlas;
+pub mod gate;
 pub mod perf_snapshot;
 pub mod report;
 
@@ -65,28 +66,22 @@ pub fn run_experiment(id: &str, out: &Path) {
         "fig8" => exp_fig8::run(out),
         "workloads" => exp_workloads::run(out),
         "ablation" => exp_ablation::run(out),
-        // informational perf baseline: always lands at the workspace
-        // root (next to Cargo.lock) so the trajectory is tracked in git
-        "perf-snapshot" => perf_snapshot::run(&report::workspace_root()),
-        // diff of a fresh measurement against the committed baseline:
-        // fails on cost drift or more search effort, warns on timing
+        // the committed baselines at the workspace root (next to
+        // Cargo.lock): re-record, diff against HEAD's copy, fail on a
+        // deterministic regression, warn on timing
         "perf-check" => {
             if perf_snapshot::check(&report::workspace_root()) > 0 {
                 std::process::exit(1);
             }
         }
-        // worst heuristic/optimal ratios, committed like BENCH_exact.json
-        "gap-atlas" => gap_atlas::run(&report::workspace_root()),
-        // diff of the atlas against the committed baseline: fails when
-        // a worst ratio grows
         "gap-check" => {
             if gap_atlas::check(&report::workspace_root()) > 0 {
                 std::process::exit(1);
             }
         }
         other => panic!(
-            "unknown experiment id '{other}'; known: {ALL_EXPERIMENTS:?} plus 'perf-snapshot', \
-             'perf-check', 'gap-atlas', and 'gap-check'"
+            "unknown experiment id '{other}'; known: {ALL_EXPERIMENTS:?} plus 'perf-check' and \
+             'gap-check'"
         ),
     }
 }

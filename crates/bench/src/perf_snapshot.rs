@@ -1,4 +1,4 @@
-//! `perf-snapshot`: recorded exact-solver throughput baselines.
+//! `perf-check`: recorded exact-solver throughput baselines.
 //!
 //! Sweeps a fixed instance matrix — {chain, pyramid, grid, layered,
 //! matmul, fft} × {base, oneshot, nodel} at sizes that solve in
@@ -7,9 +7,9 @@
 //! writes `BENCH_exact.json` (schema `rbp-perf-exact/v3`) with per-cell
 //! median wall time, interned-state throughput, and search effort. The
 //! file is committed at the workspace root so every PR leaves a perf
-//! trajectory to compare against; CI regenerates it as an artifact and
-//! runs [`check`] (`perf-check`), which fails on a drifted cost or a
-//! grown search-effort counter and annotates throughput regressions.
+//! trajectory to compare against; [`check`] (`perf-check`) re-records it
+//! and diffs it against `HEAD`'s copy, failing on a drifted cost or a
+//! grown search-effort counter and annotating throughput regressions.
 //!
 //! Every row records the **registry spec** that produced it (`"exact"`,
 //! the search with the greedy incumbent seed). Diffs are keyed by
@@ -22,12 +22,9 @@
 //!
 //! The same instance matrix backs the `bench_exact_hotpath` criterion
 //! target, so interactive `cargo bench` numbers and the recorded JSON
-//! stay comparable. Four extra
-//! rows ([`measure_service`]) record the batch-solve service's
-//! round-trip latency on a cache miss, a cache hit, a structured
-//! overload shed (`service-shed`), and a crash-recovery snapshot
-//! reload (`cache-reload`).
+//! stay comparable.
 
+use crate::gate::{self, num_field, str_field, Row};
 use crate::report::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,6 +41,9 @@ use std::time::Instant;
 /// a derived display column), so future solver specs extend the matrix
 /// without schema churn.
 pub const SCHEMA: &str = "rbp-perf-exact/v3";
+
+/// The committed baseline's file name, at the workspace root.
+pub const FILE: &str = "BENCH_exact.json";
 
 /// The registry specs every cell is measured under: the
 /// incumbent-seeded exact search.
@@ -213,7 +213,9 @@ pub fn all_cells() -> Vec<PerfCase> {
     cs
 }
 
-/// One measured cell of the snapshot.
+/// One cell of the snapshot, measured or parsed back from a committed
+/// file.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellResult {
     /// Workload family.
     pub workload: String,
@@ -266,8 +268,8 @@ pub fn measure_cases(cases: &[PerfCase], samples: usize, specs: &[&str]) -> Vec<
             let median_ns = (*median_ns).max(1);
             let states_seen = sol.states_seen().unwrap_or(0) as usize;
             // specs that report no search effort (the greedy family)
-            // record solves/sec instead, mirroring the service rows, so
-            // the perf-check throughput diff stays meaningful for them
+            // record solves/sec instead, so the perf-check throughput
+            // diff stays meaningful for them
             let states_per_sec = if states_seen == 0 {
                 (1_000_000_000 / median_ns) as u64
             } else {
@@ -291,281 +293,36 @@ pub fn measure_cases(cases: &[PerfCase], samples: usize, specs: &[&str]) -> Vec<
     results
 }
 
+/// Solves per recorded cell; its `median_ns` is the median of these.
+pub const SAMPLES: usize = 5;
+
 /// Measures the full recorded matrix at [`SNAPSHOT_SPECS`], the
-/// multiprocessor rows ([`mpp_cells`] at [`MPP_SNAPSHOT_SPECS`]), plus
-/// the batch-solve service round-trip cells ([`measure_service`]).
-pub fn measure(samples: usize) -> Vec<CellResult> {
-    let mut results = measure_cases(&all_cells(), samples, &SNAPSHOT_SPECS);
-    results.extend(measure_cases(&mpp_cells(), samples, &MPP_SNAPSHOT_SPECS));
+/// multiprocessor rows ([`mpp_cells`] at [`MPP_SNAPSHOT_SPECS`]) and the
+/// scale-out rows ([`coarse_cells`] at [`COARSE_SNAPSHOT_SPECS`]),
+/// [`SAMPLES`] solves each.
+pub fn measure() -> Vec<CellResult> {
+    let mut results = measure_cases(&all_cells(), SAMPLES, &SNAPSHOT_SPECS);
+    results.extend(measure_cases(&mpp_cells(), SAMPLES, &MPP_SNAPSHOT_SPECS));
     results.extend(measure_cases(
         &coarse_cells(),
-        samples,
+        SAMPLES,
         &COARSE_SNAPSHOT_SPECS,
     ));
-    results.extend(measure_service(samples));
     results
-}
-
-/// Round-trip latency of the batch-solve service (`rbp-service`) on the
-/// grid cell, recorded as two extra rows:
-///
-/// - `service-miss` — submit → terminal event against a cold cache,
-///   i.e. queueing + canonical-key hashing + a full solve;
-/// - `service-hit` — the same request answered by the memoization
-///   cache, i.e. the pure service overhead.
-///
-/// `median_ns` is the request round trip; `states_per_sec` doubles as
-/// **requests/sec** (`1e9 / median_ns`) for these rows, so the same
-/// perf-check threshold machinery covers service regressions. The
-/// states columns carry the solve behind the cached entry.
-pub fn measure_service(samples: usize) -> Vec<CellResult> {
-    use rbp_service::{JobRequest, Server, ServerConfig};
-    assert!(samples >= 1);
-    let spec = "exact";
-    let instance = Instance::new(
-        rbp_workloads::stencil::build(4, 2, 1).dag,
-        4,
-        CostModel::oneshot(),
-    );
-    let config = ServerConfig {
-        workers: 1,
-        queue_capacity: 4,
-        ..ServerConfig::default()
-    };
-    let request = |id: &str| JobRequest {
-        id: id.to_string(),
-        spec: spec.to_string(),
-        instance: instance.clone(),
-        options: Default::default(),
-    };
-    let round_trip = |server: &Server, id: &str| -> (u128, Solution) {
-        let t0 = Instant::now();
-        let events = server.submit_collect(request(id)).expect("server accepts");
-        let solution = events
-            .iter()
-            .find_map(|ev| match ev {
-                rbp_service::Event::Done { solution, .. } => Some(solution),
-                _ => None,
-            })
-            .expect("perf cells solve");
-        (t0.elapsed().as_nanos(), solution)
-    };
-
-    // misses: a fresh server (and thus a cold cache) per sample —
-    // server startup is outside the timed window
-    let mut miss_runs: Vec<(u128, Solution)> = Vec::with_capacity(samples);
-    for i in 0..samples {
-        let server = Server::start(config);
-        miss_runs.push(round_trip(&server, &format!("miss-{i}")));
-        server.shutdown();
-    }
-
-    // hits: one server, warmed once, then timed resubmissions
-    let server = Server::start(config);
-    let _ = round_trip(&server, "warm");
-    let mut hit_runs: Vec<(u128, Solution)> = Vec::with_capacity(samples);
-    for i in 0..samples {
-        hit_runs.push(round_trip(&server, &format!("hit-{i}")));
-    }
-    assert_eq!(server.stats().solves, 1, "hits must not re-solve");
-    server.shutdown();
-
-    let mut results = Vec::with_capacity(4);
-    for (workload, mut runs) in [("service-miss", miss_runs), ("service-hit", hit_runs)] {
-        runs.sort_unstable_by_key(|(ns, _)| *ns);
-        let (median_ns, sol) = &runs[runs.len() / 2];
-        let median_ns = (*median_ns).max(1);
-        results.push(CellResult {
-            workload: workload.to_string(),
-            model: "oneshot".to_string(),
-            n: instance.dag().n(),
-            r: instance.red_limit(),
-            spec: spec.to_string(),
-            threads: 1,
-            median_ns,
-            states_seen: sol.states_seen().unwrap_or(0) as usize,
-            states_expanded: sol.states_expanded().unwrap_or(0) as usize,
-            states_per_sec: (1_000_000_000 / median_ns) as u64,
-            scaled_cost: sol.scaled_cost(&instance),
-        });
-    }
-    results.push(measure_service_shed(samples));
-    results.push(measure_cache_reload(samples));
-    results
-}
-
-/// `service-shed` — the cost of a structured overload rejection: a
-/// server with a full queue, a busy worker, and a zero admission wait
-/// turns a submission around as `Overloaded` without blocking. The row
-/// keeps the perf trajectory of the hot shed path (hold it cheap: a
-/// loaded server says "come back later" thousands of times a second).
-/// `states_per_sec` doubles as sheds/sec; the states and cost columns
-/// carry the solve of the job that was occupying the worker.
-fn measure_service_shed(samples: usize) -> CellResult {
-    use rbp_solvers::{Registry, SolveCtx, SolveError, Solver};
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::Duration;
-
-    /// Blocks until the shared gate opens, then answers with greedy —
-    /// deterministic worker occupancy without timing assumptions.
-    struct Gate(Arc<(Mutex<bool>, Condvar)>);
-    impl Solver for Gate {
-        fn name(&self) -> &str {
-            "gate"
-        }
-        fn solve(&self, instance: &Instance, ctx: &SolveCtx) -> Result<Solution, SolveError> {
-            let (lock, cv) = &*self.0;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-            drop(open);
-            rbp_solvers::GreedySolver::new().solve(instance, ctx)
-        }
-    }
-
-    let instance = Instance::new(
-        rbp_workloads::stencil::build(4, 2, 1).dag,
-        4,
-        CostModel::oneshot(),
-    );
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let mut reg = Registry::with_builtins();
-    {
-        let gate = Arc::clone(&gate);
-        reg.register(
-            "gate",
-            "perf: blocks until opened, then greedy",
-            move |_| Ok(Box::new(Gate(Arc::clone(&gate)))),
-        );
-    }
-    let server = rbp_service::Server::with_registry(
-        rbp_service::ServerConfig {
-            workers: 1,
-            queue_capacity: 1,
-            admission_wait: Duration::ZERO, // pure shedding, no blocking
-        },
-        reg,
-    );
-    let request = |id: &str, spec: &str| rbp_service::JobRequest {
-        id: id.to_string(),
-        spec: spec.to_string(),
-        instance: instance.clone(),
-        options: Default::default(),
-    };
-    // occupy the only worker, then fill the one queue slot
-    let rx_busy = server
-        .submit_collect(request("busy", "gate"))
-        .expect("first job is accepted");
-    while server.stats().queued > 0 {
-        std::thread::yield_now();
-    }
-    let rx_fill = server
-        .submit_collect(request("fill", "gate"))
-        .expect("second job fills the queue");
-
-    let mut runs: Vec<u128> = Vec::with_capacity(samples);
-    for i in 0..samples {
-        let (tx, _rx) = std::sync::mpsc::channel();
-        let t0 = Instant::now();
-        let err = server.submit(request(&format!("shed-{i}"), "exact"), tx);
-        runs.push(t0.elapsed().as_nanos());
-        assert!(
-            matches!(err, Err(rbp_service::SubmitError::Overloaded { .. })),
-            "a full queue with zero admission wait must shed"
-        );
-    }
-
-    // release the gated jobs and keep their solution for the row
-    {
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-    }
-    let solution = [rx_busy, rx_fill]
-        .iter()
-        .find_map(|rx| {
-            rx.iter().find_map(|ev| match ev {
-                rbp_service::Event::Done { solution, .. } => Some(solution),
-                _ => None,
-            })
-        })
-        .expect("gated jobs complete after release");
-    server.shutdown();
-
-    runs.sort_unstable();
-    let median_ns = runs[runs.len() / 2].max(1);
-    CellResult {
-        workload: "service-shed".to_string(),
-        model: "oneshot".to_string(),
-        n: instance.dag().n(),
-        r: instance.red_limit(),
-        spec: "exact".to_string(),
-        threads: 1,
-        median_ns,
-        states_seen: solution.states_seen().unwrap_or(0) as usize,
-        states_expanded: solution.states_expanded().unwrap_or(0) as usize,
-        states_per_sec: (1_000_000_000 / median_ns) as u64,
-        scaled_cost: solution.scaled_cost(&instance),
-    }
-}
-
-/// `cache-reload` — crash-recovery throughput: the time to load a
-/// `cache v1` snapshot of 64 solved chain instances into a cold
-/// [`rbp_service::SolutionCache`]. `states_seen` records the entry
-/// count; `states_per_sec` doubles as reloads/sec.
-fn measure_cache_reload(samples: usize) -> CellResult {
-    const ENTRIES: usize = 64;
-    let warm = rbp_service::SolutionCache::new();
-    let mut last = None;
-    for n in 0..ENTRIES {
-        let inst = Instance::new(generate::chain(3 + n), 2, CostModel::oneshot());
-        let sol = registry::solve("greedy", &inst).expect("chains solve");
-        let scaled = sol.scaled_cost(&inst);
-        warm.insert_or_upgrade(inst.canonical_key(), "greedy", sol.clone(), scaled);
-        last = Some((inst, sol));
-    }
-    let snapshot = warm.write_snapshot();
-    let (instance, solution) = last.expect("at least one entry");
-
-    let mut runs: Vec<u128> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let cold = rbp_service::SolutionCache::new();
-        let t0 = Instant::now();
-        let report = cold.load_snapshot(&snapshot);
-        runs.push(t0.elapsed().as_nanos());
-        assert_eq!(report.recovered, ENTRIES as u64, "lossless reload");
-        assert_eq!(report.skipped, 0);
-    }
-    runs.sort_unstable();
-    let median_ns = runs[runs.len() / 2].max(1);
-    CellResult {
-        workload: "cache-reload".to_string(),
-        model: "oneshot".to_string(),
-        n: instance.dag().n(),
-        r: instance.red_limit(),
-        spec: "greedy".to_string(),
-        threads: 1,
-        median_ns,
-        states_seen: ENTRIES,
-        states_expanded: 0,
-        states_per_sec: (1_000_000_000 / median_ns) as u64,
-        scaled_cost: solution.scaled_cost(&instance),
-    }
 }
 
 /// Writes the snapshot as `<dir>/BENCH_exact.json` and returns the path.
 pub fn write_json(results: &[CellResult], dir: &Path) -> std::io::Result<std::path::PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_exact.json");
+    let path = dir.join(FILE);
     let mut f = std::fs::File::create(&path)?;
     writeln!(f, "{{")?;
     writeln!(f, "  \"schema\": \"{SCHEMA}\",")?;
     writeln!(
         f,
-        "  \"description\": \"exact-solver hot-path baselines per registry spec; regenerate \
-         with `cargo run --release -p rbp-bench --bin experiments -- perf-snapshot`, diff with \
-         `... -- perf-check`\","
+        "  \"description\": \"exact-solver hot-path baselines per registry spec; re-record \
+         and diff against HEAD's copy with `cargo run --release -p rbp-bench --bin experiments \
+         -- perf-check`\","
     )?;
     writeln!(
         f,
@@ -601,7 +358,7 @@ pub fn write_json(results: &[CellResult], dir: &Path) -> std::io::Result<std::pa
 
 fn print_table(results: &[CellResult]) {
     let mut table = Table::new(
-        "perf-snapshot — exact solver hot path (median over samples)",
+        "perf-check — exact solver hot path (median over samples)",
         &[
             "workload", "model", "n", "R", "spec", "ms", "states", "expanded", "states/s", "cost",
         ],
@@ -623,60 +380,34 @@ fn print_table(results: &[CellResult]) {
     table.print();
 }
 
-/// Runs the snapshot (5 samples per cell) and writes
-/// `<dir>/BENCH_exact.json`, printing the matrix as a table.
-pub fn run(dir: &Path) {
-    run_with(dir, 5)
-}
-
-/// Like [`run`] with a configurable sample count (tests use 1).
-pub fn run_with(dir: &Path, samples: usize) {
-    let results = measure(samples);
-    print_table(&results);
-    let path = write_json(&results, dir).expect("write BENCH_exact.json");
-    println!("  wrote {}", path.display());
-}
-
-// ---------------------------------------------------------------------
-// perf-check: diff a fresh measurement against the committed baseline
-// ---------------------------------------------------------------------
-
-/// One cell parsed back out of a committed `BENCH_exact.json`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedCell {
-    /// Workload family.
-    pub workload: String,
-    /// Cost-model name.
-    pub model: String,
-    /// The registry spec that produced the row (the diff key).
-    pub spec: String,
-    /// Recorded median wall time, nanoseconds.
-    pub median_ns: u128,
-    /// Recorded distinct states interned.
-    pub states_seen: u128,
-    /// Recorded states popped from the queue.
-    pub states_expanded: u128,
-    /// Recorded interned-state throughput.
-    pub states_per_sec: u64,
-    /// Recorded optimum (scaled cost).
-    pub scaled_cost: u128,
-}
-
-pub(crate) fn str_field(line: &str, name: &str) -> Option<String> {
-    let tag = format!("\"{name}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-pub(crate) fn num_field(line: &str, name: &str) -> Option<u128> {
-    let tag = format!("\"{name}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// Parses a committed snapshot (own fixed format, no JSON dependency).
+/// Returns `None` when the schema line is missing or not [`SCHEMA`], or
+/// a row lacks a column.
+pub fn parse_snapshot(json: &str) -> Option<Vec<CellResult>> {
+    if !json.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
+        return None;
+    }
+    let mut cells = Vec::new();
+    for line in json.lines() {
+        if !line.trim_start().starts_with("{\"workload\"") {
+            continue;
+        }
+        let num = |name| num_field(line, name);
+        cells.push(CellResult {
+            workload: str_field(line, "workload")?,
+            model: str_field(line, "model")?,
+            n: num("n")? as usize,
+            r: num("r")? as usize,
+            spec: str_field(line, "spec")?,
+            threads: num("threads")? as usize,
+            median_ns: num("median_ns")?,
+            states_seen: num("states_seen")? as usize,
+            states_expanded: num("states_expanded")? as usize,
+            states_per_sec: num("states_per_sec")? as u64,
+            scaled_cost: num("scaled_cost")?,
+        });
+    }
+    Some(cells)
 }
 
 /// The `host_parallelism` a snapshot was recorded at, when present.
@@ -687,30 +418,29 @@ pub fn parsed_host_parallelism(json: &str) -> Option<usize> {
         .map(|v| v as usize)
 }
 
-/// Parses the committed snapshot (own fixed format, no JSON dependency).
-/// Returns `None` when the schema line is missing or not `v2` — callers
-/// then skip the diff and ask for a regeneration.
-pub fn parse_snapshot(json: &str) -> Option<Vec<ParsedCell>> {
-    if !json.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return None;
+/// The deterministic columns gate: the optimum must not move, and the
+/// search must not expand or intern more states. Timing is not compared.
+impl Row for CellResult {
+    fn key(&self) -> String {
+        format!("{}/{}@{}", self.workload, self.model, self.spec)
     }
-    let mut cells = Vec::new();
-    for line in json.lines() {
-        if !line.trim_start().starts_with("{\"workload\"") {
-            continue;
+
+    fn regression(&self, old: &Self) -> Option<String> {
+        if self.scaled_cost != old.scaled_cost {
+            Some(format!(
+                "scaled cost {} != committed {}",
+                self.scaled_cost, old.scaled_cost
+            ))
+        } else if self.states_expanded > old.states_expanded || self.states_seen > old.states_seen {
+            Some(format!(
+                "search effort grew: states_expanded {} (committed {}), states_seen {} \
+                 (committed {})",
+                self.states_expanded, old.states_expanded, self.states_seen, old.states_seen
+            ))
+        } else {
+            None
         }
-        cells.push(ParsedCell {
-            workload: str_field(line, "workload")?,
-            model: str_field(line, "model")?,
-            spec: str_field(line, "spec")?,
-            median_ns: num_field(line, "median_ns")?,
-            states_seen: num_field(line, "states_seen")?,
-            states_expanded: num_field(line, "states_expanded")?,
-            states_per_sec: num_field(line, "states_per_sec")? as u64,
-            scaled_cost: num_field(line, "scaled_cost")?,
-        });
     }
-    Some(cells)
 }
 
 /// A cell regresses when fresh throughput drops below this fraction of
@@ -726,139 +456,47 @@ pub const NOISE_FLOOR_NS: u128 = 5_000_000;
 /// Relaxed threshold for sub-[`NOISE_FLOOR_NS`] cells.
 pub const NOISE_THRESHOLD: f64 = 0.40;
 
-/// A fresh 3-sample measurement of the matrix, in diffable form.
-fn measure_parsed() -> Vec<ParsedCell> {
-    measure(3)
-        .into_iter()
-        .map(|c| ParsedCell {
-            workload: c.workload,
-            model: c.model,
-            spec: c.spec,
-            median_ns: c.median_ns,
-            states_seen: c.states_seen as u128,
-            states_expanded: c.states_expanded as u128,
-            states_per_sec: c.states_per_sec,
-            scaled_cost: c.scaled_cost,
-        })
-        .collect()
-}
-
-/// The `HEAD`-committed snapshot, when `dir` is inside a git checkout.
-fn git_show_baseline(dir: &Path) -> Option<String> {
-    let out = std::process::Command::new("git")
-        .arg("-C")
-        .arg(dir)
-        .args(["show", "HEAD:BENCH_exact.json"])
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    String::from_utf8(out.stdout).ok()
-}
-
-/// `perf-check`: diffs fresh numbers against the committed
-/// `BENCH_exact.json` baseline. The deterministic columns gate: a cell
-/// whose `scaled_cost` differs from the committed one, or whose
-/// `states_expanded` or `states_seen` is higher, gets a GitHub Actions
-/// `::error::` annotation and counts as failed. Timing never gates: a
-/// cell regressing more than 25% in states/sec gets a `::warning::`
-/// with its ratio, every other cell prints its ratio. Returns the number
-/// of failed cells; the `experiments` binary exits non-zero when it is
-/// positive.
-///
-/// The baseline is `HEAD`'s version of the file (falling back to the
-/// on-disk copy outside a git checkout). When the environment sets
-/// `PERF_CHECK_REUSE_SNAPSHOT=1` — the CI perf job does, right after
-/// its `perf-snapshot` step regenerates the on-disk file — the on-disk
-/// cells are reused as the fresh side instead of measuring the whole
-/// matrix a second time. Reuse is opt-in only: inferring it from the
-/// file differing from `HEAD` would let a stale leftover snapshot
-/// masquerade as a measurement of the current code.
+/// `perf-check`: reads `HEAD`'s `BENCH_exact.json` as the baseline
+/// ([`gate::committed`]), measures the matrix once ([`SAMPLES`] per
+/// cell), rewrites `<dir>/BENCH_exact.json`, and diffs the two through
+/// [`gate::diff`]. A cell whose `scaled_cost` differs from the committed
+/// one, or whose `states_expanded` or `states_seen` is higher, gets an
+/// `::error::` and counts as failed. Timing never fails: a cell more than
+/// 25% slower in states/sec gets a `::warning::` with its ratio, every
+/// other cell prints its ratio. Returns the number of failed cells; the
+/// `experiments` binary exits non-zero when it is positive.
 pub fn check(dir: &Path) -> usize {
-    let path = dir.join("BENCH_exact.json");
-    let disk = std::fs::read_to_string(&path).ok();
-    let Some(committed) = git_show_baseline(dir).or_else(|| disk.clone()) else {
-        println!(
-            "perf-check: no committed {} — nothing to diff",
-            path.display()
-        );
+    let committed = gate::committed(dir, FILE);
+    let fresh = measure();
+    print_table(&fresh);
+    let path = write_json(&fresh, dir).expect("write BENCH_exact.json");
+    println!("  wrote {}", path.display());
+    let Some(baseline) = committed.as_deref().and_then(parse_snapshot) else {
+        println!("perf-check: no committed {FILE} of schema {SCHEMA} — nothing to diff");
         return 0;
-    };
-    let Some(baseline) = parse_snapshot(&committed) else {
-        println!(
-            "perf-check: {} is not schema {SCHEMA}; regenerate with `experiments perf-snapshot`",
-            path.display()
-        );
-        return 0;
-    };
-    let reuse = std::env::var("PERF_CHECK_REUSE_SNAPSHOT").is_ok_and(|v| v == "1");
-    let fresh: Vec<ParsedCell> = match disk.as_deref().filter(|d| reuse && *d != committed) {
-        Some(regenerated) => match parse_snapshot(regenerated) {
-            Some(cells) => {
-                println!("perf-check: reusing the regenerated on-disk snapshot as the fresh side");
-                cells
-            }
-            None => measure_parsed(),
-        },
-        None => measure_parsed(),
     };
     // throughput is only comparable within a host class: a baseline
-    // recorded on a different core count (say a 1-core container vs a
-    // 4-vCPU runner) puts every pool-using row (the portfolio seed, the
-    // service rows) off by the hardware delta, drowning real regressions
-    // in false "ok (500%)" readings. Cost and
-    // coverage are still checked; throughput diffs are skipped.
+    // recorded on a different core count puts every pool-using row (the
+    // portfolio seed) off by the hardware delta, drowning real
+    // regressions in false "ok (500%)" readings. Cost and search effort
+    // are still checked; throughput diffs are skipped.
     let here = std::thread::available_parallelism().map_or(0, |p| p.get());
-    let recorded = parsed_host_parallelism(&committed).unwrap_or(0);
+    let recorded = committed
+        .as_deref()
+        .and_then(parsed_host_parallelism)
+        .unwrap_or(0);
     let comparable_host = recorded == here;
     if !comparable_host {
         println!(
             "perf-check: baseline host_parallelism {recorded} != this host's {here}; \
-             skipping throughput diffs (cost/coverage checks still run) — \
-             re-commit a snapshot from this host class to restore them"
+             skipping throughput diffs (cost/search-effort checks still run) — \
+             commit the rewritten {FILE} to restore them"
         );
     }
-    let mut failed = 0;
     let mut slower = 0;
-    for new in &fresh {
-        let Some(old) = baseline
-            .iter()
-            .find(|c| c.workload == new.workload && c.model == new.model && c.spec == new.spec)
-        else {
-            // one-sided cell: a spec or atlas row added this PR has no
-            // baseline yet — inform and skip, never count, so growing
-            // the matrix can't trip the check
-            println!(
-                "perf-check: new cell {}/{}@{} (no baseline; skipped)",
-                new.workload, new.model, new.spec
-            );
-            continue;
-        };
-        if new.scaled_cost != old.scaled_cost {
-            println!(
-                "::error title=optimum drift::{}/{}@{}: scaled cost {} != committed {}",
-                new.workload, new.model, new.spec, new.scaled_cost, old.scaled_cost
-            );
-            failed += 1;
-            continue;
-        }
-        if new.states_expanded > old.states_expanded || new.states_seen > old.states_seen {
-            println!(
-                "::error title=search effort grew::{}/{}@{}: states_expanded {} (committed {}), \
-                 states_seen {} (committed {})",
-                new.workload,
-                new.model,
-                new.spec,
-                new.states_expanded,
-                old.states_expanded,
-                new.states_seen,
-                old.states_seen
-            );
-            failed += 1;
-        }
+    let outcome = gate::diff("perf-check", &baseline, &fresh, |new, old| {
         if !comparable_host {
-            continue;
+            return;
         }
         let ratio = new.states_per_sec as f64 / old.states_per_sec.max(1) as f64;
         let threshold = if old.median_ns < NOISE_FLOOR_NS {
@@ -869,50 +507,30 @@ pub fn check(dir: &Path) -> usize {
         if ratio < threshold {
             slower += 1;
             println!(
-                "::warning title=perf regression::{}/{}@{}: {} states/s vs committed {} ({:.0}%)",
-                new.workload,
-                new.model,
-                new.spec,
+                "::warning title=perf regression::{}: {} states/s vs committed {} ({:.0}%)",
+                new.key(),
                 new.states_per_sec,
                 old.states_per_sec,
                 ratio * 100.0
             );
         } else {
             println!(
-                "perf-check: {}/{}@{} ok ({:.0}% of baseline)",
-                new.workload,
-                new.model,
-                new.spec,
+                "perf-check: {} ok ({:.0}% of baseline)",
+                new.key(),
                 ratio * 100.0
             );
         }
-    }
-    // mirror direction: a baseline cell with no fresh counterpart means
-    // the matrix lost coverage — warn so it's visible, but skip it in
-    // the count: one-sided cells (either direction) must never trip the
-    // check, or retiring a spec would break CI the same way adding one
-    // used to
-    let mut lost = 0;
-    for old in &baseline {
-        if !fresh
-            .iter()
-            .any(|c| c.workload == old.workload && c.model == old.model && c.spec == old.spec)
-        {
-            println!(
-                "::warning title=lost coverage::{}/{}@{}: in the committed baseline but not \
-                 measured anymore (skipped)",
-                old.workload, old.model, old.spec
-            );
-            lost += 1;
-        }
-    }
+    });
     println!(
-        "perf-check: {failed} failed cell(s) (cost drift or more search effort), {slower} \
-         slower cell(s) (timing, never failing) out of {} measured, {lost} baseline cell(s) \
-         no longer covered (one-sided cells are not counted)",
-        fresh.len()
+        "perf-check: {} failed cell(s) (cost drift or more search effort), {slower} slower \
+         cell(s) (timing, never failing) out of {} measured, {} new and {} lost cell(s) \
+         (one-sided cells are not counted)",
+        outcome.failed,
+        fresh.len(),
+        outcome.new,
+        outcome.lost
     );
-    failed
+    outcome.failed
 }
 
 #[cfg(test)]
@@ -941,25 +559,6 @@ mod tests {
         for m in ["base", "oneshot", "nodel"] {
             assert!(json.contains(&format!("\"model\": \"{m}\"")), "{m} missing");
         }
-    }
-
-    #[test]
-    fn service_cells_record_hit_miss_shed_and_reload_round_trips() {
-        let rows = measure_service(1);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].workload, "service-miss");
-        assert_eq!(rows[1].workload, "service-hit");
-        assert_eq!(rows[2].workload, "service-shed");
-        assert_eq!(rows[3].workload, "cache-reload");
-        for row in &rows {
-            assert!(row.states_per_sec > 0, "requests/sec must be recorded");
-        }
-        // the hit is answered from the cache, so both rows carry the
-        // same engine-validated optimum
-        assert_eq!(rows[0].scaled_cost, rows[1].scaled_cost);
-        // the shed path must be far cheaper than an actual solve
-        assert!(rows[2].median_ns <= rows[0].median_ns);
-        assert_eq!(rows[3].states_seen, 64, "reload row records entry count");
     }
 
     #[test]
@@ -1009,17 +608,7 @@ mod tests {
         let path = write_json(&results, &dir).unwrap();
         let parsed =
             parse_snapshot(&std::fs::read_to_string(path).unwrap()).expect("own output must parse");
-        assert_eq!(parsed.len(), results.len());
-        for (p, r) in parsed.iter().zip(&results) {
-            assert_eq!(p.workload, r.workload);
-            assert_eq!(p.model, r.model);
-            assert_eq!(p.spec, r.spec);
-            assert_eq!(p.median_ns, r.median_ns);
-            assert_eq!(p.states_seen, r.states_seen as u128);
-            assert_eq!(p.states_expanded, r.states_expanded as u128);
-            assert_eq!(p.states_per_sec, r.states_per_sec);
-            assert_eq!(p.scaled_cost, r.scaled_cost);
-        }
+        assert_eq!(parsed, results);
         // v2 files (or junk) refuse to parse instead of mis-diffing
         assert!(parse_snapshot("{\"schema\": \"rbp-perf-exact/v2\"}").is_none());
     }

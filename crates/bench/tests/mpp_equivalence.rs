@@ -1,4 +1,4 @@
-//! `exact@mpp:1`-vs-classic equivalence over the full perf-snapshot
+//! `exact@mpp:1`-vs-classic equivalence over the full perf-check
 //! workload × model matrix: at one processor `exact@mpp` searches one
 //! red plane with the classic rule set — the same pruned A* search as
 //! `exact` — so it must prove every cell optimal at the classic `exact`

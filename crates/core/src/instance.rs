@@ -107,18 +107,6 @@ impl Instance {
         }
     }
 
-    /// Shares an existing DAG without copying it.
-    pub fn from_shared(dag: Arc<Dag>, red_limit: usize, model: CostModel) -> Self {
-        Instance {
-            dag,
-            red_limit,
-            model,
-            source_convention: SourceConvention::default(),
-            sink_convention: SinkConvention::default(),
-            mpp: None,
-        }
-    }
-
     /// Returns a copy of this instance with a different source convention.
     ///
     /// All `with_*` builders share one convention: they take `&self` and
@@ -194,12 +182,6 @@ impl Instance {
     #[inline]
     pub fn dag(&self) -> &Dag {
         &self.dag
-    }
-
-    /// Shared handle to the DAG.
-    #[inline]
-    pub fn dag_arc(&self) -> Arc<Dag> {
-        Arc::clone(&self.dag)
     }
 
     /// The red-pebble budget R.

@@ -64,12 +64,6 @@ impl BitSet {
         s
     }
 
-    /// Number of bits this set can hold (rounded up to whole words).
-    #[inline]
-    pub fn word_capacity(&self) -> usize {
-        self.words.len() * WORD_BITS
-    }
-
     /// Inserts `index`; returns `true` if it was newly inserted.
     #[inline]
     pub fn insert(&mut self, index: usize) -> bool {

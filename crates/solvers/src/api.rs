@@ -113,11 +113,6 @@ impl Budget {
         b
     }
 
-    /// The cancellation flag, if one was attached.
-    pub fn cancel_flag(&self) -> Option<&Arc<AtomicBool>> {
-        self.cancel.as_ref()
-    }
-
     /// Whether this budget can never trip (fast-path check the hot loops
     /// use to skip the `Instant::now()` call entirely).
     #[inline]
@@ -635,13 +630,6 @@ impl BeamSolver {
     pub fn new() -> Self {
         BeamSolver::default()
     }
-
-    /// A specific width (must be ≥ 1; validated at solve time).
-    pub fn with_width(width: usize) -> Self {
-        BeamSolver {
-            cfg: BeamConfig { width },
-        }
-    }
 }
 
 impl Solver for BeamSolver {
@@ -684,11 +672,6 @@ impl PortfolioSolver {
     /// eviction policies).
     pub fn new() -> Self {
         PortfolioSolver::default()
-    }
-
-    /// A custom portfolio (must be non-empty; validated at solve time).
-    pub fn with_configs(configs: Vec<GreedyConfig>) -> Self {
-        PortfolioSolver { configs }
     }
 }
 
