@@ -154,21 +154,19 @@ pub fn max_tradeoff_slope(instance: &Instance) -> u64 {
 }
 
 /// The best structural lower bound the crate knows how to certify: the
-/// component-wise maximum of [`trivial_lower_bound`] and the
-/// [`fractional`] relaxation. Component-wise max is sound because each
-/// component of each input is individually a valid lower bound on that
-/// component of every complete trace's cost, and [`Cost`] scaling is
-/// monotone in both components.
+/// [`fractional`] relaxation's cost.
+///
+/// It dominates [`trivial_lower_bound`] component-wise in every model,
+/// so no maximum with it is taken. Its compute term counts every forced
+/// compute: that equals trivial's in compcost and is at least trivial's
+/// 0 elsewhere. Its transfer term in nodel is
+/// `L + max(S, C + L − p·R) ≥ max(0, C − p·R)`, trivial's transfer term
+/// there, and trivial's transfer term is 0 in the other models.
 ///
 /// This is the single entry point solvers and the verify harness use to
 /// report `lower_bound`s; prefer it over calling either bound directly.
 pub fn best_lower_bound(instance: &Instance) -> Cost {
-    let a = trivial_lower_bound(instance);
-    let b = fractional::bound(instance).cost;
-    Cost {
-        transfers: a.transfers.max(b.transfers),
-        computes: a.computes.max(b.computes),
-    }
+    fractional::bound(instance).cost
 }
 
 /// Minimal Ratio-valued optimum bracket `[lower, upper]` for quick sanity

@@ -14,7 +14,7 @@
 //! weights <cn>/<cd> <pn>/<pd>             # v2 only: comm and comp weights
 //! sources free-compute|initially-blue     # optional (default free-compute)
 //! sinks any-pebble|require-blue           # optional (default any-pebble)
-//! dag <n>                                 # the rbp_graph::io block
+//! dag <n>                                 # the rbp_graph::io section
 //! label <node> <text>
 //! edge <from> <to>
 //! end
@@ -28,20 +28,22 @@
 //! dimension of a document it cannot represent. A `v2` document without
 //! `procs` is a classic instance.
 //!
-//! The `dag … ` section is exactly [`rbp_graph::io`]'s format, parsed
-//! through [`rbp_graph::io::parse_dag_at`] so error line numbers are in
-//! document coordinates. `end` terminates the document — the service
-//! reads framed submissions off a socket by scanning for it, so
-//! [`parse_instance`] rejects trailing statements after `end` instead
-//! of silently ignoring a second document.
+//! The `dag … ` section is exactly [`rbp_graph::io`]'s format, read by
+//! [`rbp_graph::io::read_dag`] in the same pass as the header fields.
+//! `end` terminates the document — the service reads framed submissions
+//! off a socket by scanning for it, so [`parse_instance`] rejects
+//! trailing statements after `end` instead of silently ignoring a
+//! second document.
 //!
-//! Every [`ParseError`] variant carries the 1-based line number it was
-//! raised on and the offending token, mirroring [`rbp_graph::io::ParseError`].
+//! Errors are [`rbp_graph::io::ParseError`], the one error of every
+//! wire reader: each names its document line and the offending token,
+//! and a statement with a token past its arguments (`r 3 4`) is
+//! rejected.
 
 use crate::instance::{Instance, MppDim, SinkConvention, SourceConvention};
 use crate::model::{CostModel, ModelKind};
 use crate::Ratio;
-use rbp_graph::io as graph_io;
+use rbp_graph::io::{self as graph_io, ParseError, Statements, Stmt};
 use std::fmt::Write as _;
 
 /// The version tag [`write_instance`] emits for classic instances (and
@@ -51,88 +53,6 @@ pub const INSTANCE_VERSION: &str = "v1";
 /// The version tag [`write_instance`] emits for multiprocessor
 /// instances: carries the `procs` / `weights` header fields.
 pub const INSTANCE_VERSION_MPP: &str = "v2";
-
-/// Errors from [`parse_instance`]. Syntactic variants carry 1-based
-/// document line numbers and the offending token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseError {
-    /// The first statement must be `instance v1`.
-    MissingHeader,
-    /// The header names a version this parser does not speak.
-    UnsupportedVersion {
-        /// 1-based line number of the header.
-        line: usize,
-        /// The version token found.
-        found: String,
-    },
-    /// A statement could not be parsed.
-    UnexpectedToken {
-        /// 1-based line number of the offending statement.
-        line: usize,
-        /// The token that was rejected.
-        token: String,
-        /// What the parser expected in its place.
-        expected: &'static str,
-    },
-    /// A field appeared twice.
-    DuplicateField {
-        /// 1-based line number of the second occurrence.
-        line: usize,
-        /// The repeated field keyword.
-        field: &'static str,
-    },
-    /// A required field never appeared before the `dag` section.
-    MissingField {
-        /// The missing field keyword.
-        field: &'static str,
-    },
-    /// The document ended without an `end` terminator.
-    MissingEnd,
-    /// The embedded DAG block was rejected.
-    Dag(graph_io::ParseError),
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseError::MissingHeader => {
-                write!(f, "missing 'instance {INSTANCE_VERSION}' header")
-            }
-            ParseError::UnsupportedVersion { line, found } => write!(
-                f,
-                "line {line}: unsupported instance version '{found}' (expected \
-                 '{INSTANCE_VERSION}' or '{INSTANCE_VERSION_MPP}')"
-            ),
-            ParseError::UnexpectedToken {
-                line,
-                token,
-                expected,
-            } => write!(f, "line {line}: unexpected '{token}', expected {expected}"),
-            ParseError::DuplicateField { line, field } => {
-                write!(f, "line {line}: duplicate '{field}' field")
-            }
-            ParseError::MissingField { field } => write!(f, "missing required '{field}' field"),
-            ParseError::MissingEnd => write!(f, "missing 'end' terminator"),
-            ParseError::Dag(e) => write!(f, "in dag section: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-impl From<graph_io::ParseError> for ParseError {
-    fn from(e: graph_io::ParseError) -> Self {
-        ParseError::Dag(e)
-    }
-}
-
-fn unexpected(line: usize, token: impl Into<String>, expected: &'static str) -> ParseError {
-    ParseError::UnexpectedToken {
-        line,
-        token: token.into(),
-        expected,
-    }
-}
 
 /// The wire token for a model (`base`, `oneshot`, `nodel`, or
 /// `compcost <num>/<den>`). [`CostModel`]'s `Display` is for humans
@@ -147,32 +67,37 @@ pub fn model_token(model: CostModel) -> String {
     }
 }
 
-fn parse_model(args: &[&str], line: usize) -> Result<CostModel, ParseError> {
-    match args {
-        ["base"] => Ok(CostModel::base()),
-        ["oneshot"] => Ok(CostModel::oneshot()),
-        ["nodel"] => Ok(CostModel::nodel()),
-        ["compcost", eps] => {
-            let (num, den) = eps
-                .split_once('/')
-                .ok_or_else(|| unexpected(line, *eps, "'<num>/<den>' after 'compcost'"))?;
-            let num: u64 = num.parse().map_err(|_| {
-                unexpected(line, *eps, "integer numerator in 'compcost <num>/<den>'")
-            })?;
-            let den: u64 = den.parse().map_err(|_| {
-                unexpected(line, *eps, "integer denominator in 'compcost <num>/<den>'")
-            })?;
-            if num == 0 || den == 0 || num >= den {
-                return Err(unexpected(line, *eps, "a ratio 0 < num/den < 1"));
+fn parse_model(stmt: &Stmt) -> Result<CostModel, ParseError> {
+    const KINDS: &str = "'base', 'oneshot', 'nodel', or 'compcost <num>/<den>'";
+    const EPSILON: &str = "a ratio '<num>/<den>' with 0 < num/den < 1";
+    let [kind, eps] = stmt.args(KINDS)?;
+    let model = match kind {
+        "base" => CostModel::base(),
+        "oneshot" => CostModel::oneshot(),
+        "nodel" => CostModel::nodel(),
+        "compcost" => {
+            let ratio = parse_ratio(stmt, eps, EPSILON)?;
+            if ratio.num() == 0 || ratio.num() >= ratio.den() {
+                return Err(stmt.error(eps, EPSILON));
             }
-            Ok(CostModel::compcost_with(Ratio::new(num, den)))
+            return Ok(CostModel::compcost_with(ratio));
         }
-        _ => Err(unexpected(
-            line,
-            args.join(" "),
-            "'base', 'oneshot', 'nodel', or 'compcost <num>/<den>'",
-        )),
+        _ => return Err(stmt.error(kind, KINDS)),
+    };
+    match eps {
+        "" => Ok(model),
+        extra => Err(stmt.error(extra, KINDS)),
     }
+}
+
+/// Parses a `<num>/<den>` token with a nonzero denominator.
+fn parse_ratio(stmt: &Stmt, token: &str, expected: &'static str) -> Result<Ratio, ParseError> {
+    token
+        .split_once('/')
+        .and_then(|(num, den)| Some((num.parse().ok()?, den.parse().ok()?)))
+        .filter(|&(_, den)| den != 0)
+        .map(|(num, den)| Ratio::new(num, den))
+        .ok_or_else(|| stmt.error(token, expected))
 }
 
 /// Serializes an instance as a complete document: `instance v1` for
@@ -182,8 +107,8 @@ fn parse_model(args: &[&str], line: usize) -> Result<CostModel, ParseError> {
 /// document is self-describing on the wire and `write ∘ parse ∘ write`
 /// is the identity.
 pub fn write_instance(instance: &Instance) -> String {
-    let dag_block = graph_io::write_dag(instance.dag());
-    let mut out = String::with_capacity(96 + dag_block.len());
+    let dag_section = graph_io::write_dag(instance.dag());
+    let mut out = String::with_capacity(96 + dag_section.len());
     let version = match instance.mpp() {
         Some(_) => INSTANCE_VERSION_MPP,
         None => INSTANCE_VERSION,
@@ -212,7 +137,7 @@ pub fn write_instance(instance: &Instance) -> String {
         SinkConvention::RequireBlue => "require-blue",
     };
     let _ = writeln!(out, "sinks {sinks}");
-    out.push_str(&dag_block);
+    out.push_str(&dag_section);
     out.push_str("end\n");
     out
 }
@@ -226,204 +151,100 @@ pub fn parse_instance(text: &str) -> Result<Instance, ParseError> {
 /// Like [`parse_instance`] for a document embedded at `first_line`
 /// (1-based) of a larger stream: reported line numbers are global.
 pub fn parse_instance_at(text: &str, first_line: usize) -> Result<Instance, ParseError> {
-    let mut header_seen = false;
-    let mut mpp_header = false; // v2: the multiprocessor fields are legal
+    const HEADER: &str = "'instance v1' or 'instance v2' as the first statement";
+    let mut stmts = Statements::new(text, first_line);
+    // v2: the multiprocessor fields are legal
+    let mpp_header = match stmts.next() {
+        Some(stmt) if stmt.keyword == "instance" => match stmt.args(HEADER)? {
+            [INSTANCE_VERSION] => false,
+            [INSTANCE_VERSION_MPP] => true,
+            [version] => return Err(stmt.error(version, "instance version 'v1' or 'v2'")),
+        },
+        Some(stmt) => return Err(stmt.error(stmt.keyword, HEADER)),
+        None => return Err(stmts.missing(HEADER)),
+    };
     let mut model: Option<CostModel> = None;
     let mut r: Option<usize> = None;
     let mut procs: Option<u32> = None;
     let mut weights: Option<(Ratio, Ratio)> = None;
     let mut sources: Option<SourceConvention> = None;
     let mut sinks: Option<SinkConvention> = None;
-    // the dag block: (first document line, collected raw lines)
-    let mut dag_block: Option<(usize, String)> = None;
-    let mut ended = false;
 
-    for (i, raw) in text.lines().enumerate() {
-        let lineno = first_line + i;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if ended {
-            return Err(unexpected(lineno, line, "nothing after 'end'"));
-        }
-        let mut parts = line.split_whitespace();
-        let keyword = parts.next().expect("nonempty line");
-        let args: Vec<&str> = parts.collect();
-        if !header_seen {
-            if keyword != "instance" {
-                return Err(ParseError::MissingHeader);
+    let (dag, model, r) = loop {
+        let Some(stmt) = stmts.next() else {
+            return Err(stmts.missing("the 'dag <n>' section"));
+        };
+        match stmt.keyword {
+            "model" => stmt.once(&mut model, || parse_model(&stmt))?,
+            "r" => stmt.once(&mut r, || {
+                let [token] = stmt.args("'r <R>'")?;
+                stmt.parse(token, "red-pebble budget in 'r <R>'")
+            })?,
+            "procs" | "weights" if !mpp_header => {
+                return Err(stmt.error(
+                    stmt.keyword,
+                    "no multiprocessor field under 'instance v1' (they need v2)",
+                ))
             }
-            match args.as_slice() {
-                [v] if *v == INSTANCE_VERSION => header_seen = true,
-                [v] if *v == INSTANCE_VERSION_MPP => {
-                    header_seen = true;
-                    mpp_header = true;
+            "procs" => stmt.once(&mut procs, || {
+                let [token] = stmt.args("'procs <p>'")?;
+                match stmt.parse(token, "processor count in 'procs <p>'")? {
+                    0 => Err(stmt.error(token, "a processor count of at least 1")),
+                    p => Ok(p),
                 }
-                [v] => {
-                    return Err(ParseError::UnsupportedVersion {
-                        line: lineno,
-                        found: (*v).to_string(),
-                    })
+            })?,
+            "weights" => stmt.once(&mut weights, || {
+                const WEIGHT: &str = "a '<num>/<den>' weight with a nonzero denominator";
+                let [comm, comp] = stmt.args("'weights <cn>/<cd> <pn>/<pd>'")?;
+                Ok((
+                    parse_ratio(&stmt, comm, WEIGHT)?,
+                    parse_ratio(&stmt, comp, WEIGHT)?,
+                ))
+            })?,
+            "sources" => stmt.once(&mut sources, || {
+                match stmt.args("'sources <convention>'")? {
+                    ["free-compute"] => Ok(SourceConvention::FreeCompute),
+                    ["initially-blue"] => Ok(SourceConvention::InitiallyBlue),
+                    [other] => Err(stmt.error(other, "'free-compute' or 'initially-blue'")),
                 }
-                _ => {
-                    return Err(unexpected(
-                        lineno,
-                        line,
-                        "'instance v1' or 'instance v2' as the first statement",
-                    ))
-                }
-            }
-            continue;
-        }
-        // inside the dag section: collect verbatim until `end`
-        if let Some((_, block)) = &mut dag_block {
-            if keyword == "end" {
-                ended = true;
-            } else {
-                block.push_str(raw);
-                block.push('\n');
-            }
-            continue;
-        }
-        match keyword {
-            "model" => {
-                if model.is_some() {
-                    return Err(ParseError::DuplicateField {
-                        line: lineno,
-                        field: "model",
-                    });
-                }
-                model = Some(parse_model(&args, lineno)?);
-            }
-            "r" => {
-                if r.is_some() {
-                    return Err(ParseError::DuplicateField {
-                        line: lineno,
-                        field: "r",
-                    });
-                }
-                let token = args.first().copied().unwrap_or("");
-                r = Some(
-                    token
-                        .parse()
-                        .map_err(|_| unexpected(lineno, token, "red-pebble budget in 'r <R>'"))?,
-                );
-            }
-            "procs" => {
-                if !mpp_header {
-                    return Err(unexpected(
-                        lineno,
-                        line,
-                        "no 'procs' under 'instance v1' (multiprocessor fields need v2)",
-                    ));
-                }
-                if procs.is_some() {
-                    return Err(ParseError::DuplicateField {
-                        line: lineno,
-                        field: "procs",
-                    });
-                }
-                let token = args.first().copied().unwrap_or("");
-                let p: u32 = token
-                    .parse()
-                    .map_err(|_| unexpected(lineno, token, "processor count in 'procs <p>'"))?;
-                if p == 0 {
-                    return Err(unexpected(lineno, token, "a processor count of at least 1"));
-                }
-                procs = Some(p);
-            }
-            "weights" => {
-                if !mpp_header {
-                    return Err(unexpected(
-                        lineno,
-                        line,
-                        "no 'weights' under 'instance v1' (multiprocessor fields need v2)",
-                    ));
-                }
-                if weights.is_some() {
-                    return Err(ParseError::DuplicateField {
-                        line: lineno,
-                        field: "weights",
-                    });
-                }
-                match args.as_slice() {
-                    [comm, comp] => {
-                        weights = Some((parse_weight(comm, lineno)?, parse_weight(comp, lineno)?));
-                    }
-                    _ => {
-                        return Err(unexpected(
-                            lineno,
-                            args.join(" "),
-                            "'weights <cn>/<cd> <pn>/<pd>'",
-                        ))
-                    }
-                }
-            }
-            "sources" => {
-                if sources.is_some() {
-                    return Err(ParseError::DuplicateField {
-                        line: lineno,
-                        field: "sources",
-                    });
-                }
-                sources = Some(match args.as_slice() {
-                    ["free-compute"] => SourceConvention::FreeCompute,
-                    ["initially-blue"] => SourceConvention::InitiallyBlue,
-                    _ => {
-                        return Err(unexpected(
-                            lineno,
-                            args.join(" "),
-                            "'free-compute' or 'initially-blue'",
-                        ))
-                    }
-                });
-            }
-            "sinks" => {
-                if sinks.is_some() {
-                    return Err(ParseError::DuplicateField {
-                        line: lineno,
-                        field: "sinks",
-                    });
-                }
-                sinks = Some(match args.as_slice() {
-                    ["any-pebble"] => SinkConvention::AnyPebble,
-                    ["require-blue"] => SinkConvention::RequireBlue,
-                    _ => {
-                        return Err(unexpected(
-                            lineno,
-                            args.join(" "),
-                            "'any-pebble' or 'require-blue'",
-                        ))
-                    }
-                });
-            }
+            })?,
+            "sinks" => stmt.once(&mut sinks, || match stmt.args("'sinks <convention>'")? {
+                ["any-pebble"] => Ok(SinkConvention::AnyPebble),
+                ["require-blue"] => Ok(SinkConvention::RequireBlue),
+                [other] => Err(stmt.error(other, "'any-pebble' or 'require-blue'")),
+            })?,
             "dag" => {
-                let mut block = String::with_capacity(raw.len() + 1);
-                block.push_str(raw);
-                block.push('\n');
-                dag_block = Some((lineno, block));
+                let Some(model) = model else {
+                    return Err(stmt.error("dag", "a 'model' field before the 'dag <n>' section"));
+                };
+                let Some(r) = r else {
+                    return Err(stmt.error("dag", "an 'r' field before the 'dag <n>' section"));
+                };
+                match graph_io::read_dag(&stmt, &mut stmts)? {
+                    (dag, Some(end)) if end.keyword == "end" => {
+                        let [] = end.args("'end'")?;
+                        break (dag, model, r);
+                    }
+                    (_, Some(other)) => {
+                        return Err(other.error(
+                            other.keyword,
+                            "'edge', 'label', or 'end' in the dag section",
+                        ))
+                    }
+                    (_, None) => return Err(stmts.missing("'end'")),
+                }
             }
-            "end" => return Err(ParseError::Dag(graph_io::ParseError::MissingHeader)),
             other => {
-                return Err(unexpected(
-                    lineno,
+                return Err(stmt.error(
                     other,
                     "'model', 'r', 'sources', 'sinks', or the 'dag <n>' section",
                 ))
             }
         }
+    };
+    if let Some(stmt) = stmts.next() {
+        return Err(stmt.error(stmt.keyword, "nothing after 'end'"));
     }
-    if !header_seen {
-        return Err(ParseError::MissingHeader);
-    }
-    if !ended {
-        return Err(ParseError::MissingEnd);
-    }
-    let model = model.ok_or(ParseError::MissingField { field: "model" })?;
-    let r = r.ok_or(ParseError::MissingField { field: "r" })?;
-    let (dag_line, block) = dag_block.expect("ended implies a dag section");
-    let dag = graph_io::parse_dag_at(&block, dag_line)?;
     let mut inst = Instance::new(dag, r, model)
         .with_source_convention(sources.unwrap_or_default())
         .with_sink_convention(sinks.unwrap_or_default());
@@ -443,25 +264,6 @@ pub fn parse_instance_at(text: &str, first_line: usize) -> Result<Instance, Pars
     Ok(inst)
 }
 
-/// Parses one `<num>/<den>` objective weight (any non-negative ratio;
-/// unlike ε there is no < 1 constraint — communication typically weighs
-/// 1/1 or more).
-fn parse_weight(token: &str, line: usize) -> Result<Ratio, ParseError> {
-    let (num, den) = token
-        .split_once('/')
-        .ok_or_else(|| unexpected(line, token, "a '<num>/<den>' weight"))?;
-    let num: u64 = num
-        .parse()
-        .map_err(|_| unexpected(line, token, "integer numerator in a '<num>/<den>' weight"))?;
-    let den: u64 = den
-        .parse()
-        .map_err(|_| unexpected(line, token, "integer denominator in a '<num>/<den>' weight"))?;
-    if den == 0 {
-        return Err(unexpected(line, token, "a weight with nonzero denominator"));
-    }
-    Ok(Ratio::new(num, den))
-}
-
 /// Structural equality of two instances (the `Instance` type itself
 /// deliberately has no `PartialEq`: solvers compare costs, not
 /// problems). Used by round-trip tests and the service cache's
@@ -479,6 +281,14 @@ pub fn same_instance(a: &Instance, b: &Instance) -> bool {
 mod tests {
     use super::*;
     use rbp_graph::DagBuilder;
+
+    /// The line and token of a syntax error.
+    fn located(err: ParseError) -> (usize, String) {
+        match err {
+            ParseError::Syntax { line, token, .. } => (line, token),
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
+    }
 
     fn diamond_instance() -> Instance {
         let mut b = DagBuilder::new(3);
@@ -567,10 +377,8 @@ mod tests {
     fn mpp_fields_rejected_under_v1_header() {
         for field in ["procs 2", "weights 1/1 0/1"] {
             let text = format!("instance v1\nmodel base\nr 3\n{field}\ndag 2\nedge 0 1\nend\n");
-            match parse_instance(&text).unwrap_err() {
-                ParseError::UnexpectedToken { line: 4, .. } => {}
-                other => panic!("'{field}' under v1 must be rejected, got {other:?}"),
-            }
+            let (line, _) = located(parse_instance(&text).unwrap_err());
+            assert_eq!(line, 4, "'{field}' under v1 must be rejected");
         }
     }
 
@@ -586,22 +394,14 @@ mod tests {
             "weights one two",
         ] {
             let text = format!("instance v2\nmodel base\nr 3\n{bad}\ndag 2\nedge 0 1\nend\n");
-            assert!(
-                matches!(
-                    parse_instance(&text),
-                    Err(ParseError::UnexpectedToken { line: 4, .. })
-                ),
-                "'{bad}' must be rejected"
-            );
+            let (line, _) = located(parse_instance(&text).unwrap_err());
+            assert_eq!(line, 4, "'{bad}' must be rejected");
         }
-        // duplicates are duplicate-field errors
+        // a second field is rejected at its keyword
         let text = "instance v2\nmodel base\nr 3\nprocs 2\nprocs 2\ndag 2\nedge 0 1\nend\n";
         assert_eq!(
-            parse_instance(text).unwrap_err(),
-            ParseError::DuplicateField {
-                line: 5,
-                field: "procs"
-            }
+            located(parse_instance(text).unwrap_err()),
+            (5, "procs".into())
         );
     }
 
@@ -624,17 +424,14 @@ mod tests {
 
     #[test]
     fn header_errors() {
-        assert_eq!(parse_instance("").unwrap_err(), ParseError::MissingHeader);
+        assert_eq!(located(parse_instance("").unwrap_err()), (1, String::new()));
         assert_eq!(
-            parse_instance("model base\n").unwrap_err(),
-            ParseError::MissingHeader
+            located(parse_instance("model base\n").unwrap_err()),
+            (1, "model".into())
         );
         assert_eq!(
-            parse_instance("instance v9\nmodel base\nr 3\ndag 1\nend\n").unwrap_err(),
-            ParseError::UnsupportedVersion {
-                line: 1,
-                found: "v9".into()
-            }
+            located(parse_instance("instance v9\nmodel base\nr 3\ndag 1\nend\n").unwrap_err()),
+            (1, "v9".into())
         );
     }
 
@@ -642,24 +439,23 @@ mod tests {
     fn field_errors_carry_line_numbers() {
         let text = "instance v1\nmodel base\nmodel oneshot\nr 3\ndag 1\nend\n";
         assert_eq!(
-            parse_instance(text).unwrap_err(),
-            ParseError::DuplicateField {
-                line: 3,
-                field: "model"
-            }
+            located(parse_instance(text).unwrap_err()),
+            (3, "model".into())
         );
         let text = "instance v1\nmodel quantum\nr 3\ndag 1\nend\n";
-        match parse_instance(text).unwrap_err() {
-            ParseError::UnexpectedToken { line: 2, token, .. } => assert_eq!(token, "quantum"),
-            other => panic!("{other:?}"),
-        }
         assert_eq!(
-            parse_instance("instance v1\nr 3\ndag 1\nend\n").unwrap_err(),
-            ParseError::MissingField { field: "model" }
+            located(parse_instance(text).unwrap_err()),
+            (2, "quantum".into())
         );
+        // a missing field is reported at the section it must precede
         assert_eq!(
-            parse_instance("instance v1\nmodel base\nr 3\ndag 1\n").unwrap_err(),
-            ParseError::MissingEnd
+            located(parse_instance("instance v1\nr 3\ndag 1\nend\n").unwrap_err()),
+            (3, "dag".into())
+        );
+        // a missing 'end' names the line one past the document
+        assert_eq!(
+            located(parse_instance("instance v1\nmodel base\nr 3\ndag 1\n").unwrap_err()),
+            (5, String::new())
         );
     }
 
@@ -667,19 +463,15 @@ mod tests {
     fn dag_errors_report_document_lines() {
         // the bad edge sits on document line 5
         let text = "instance v1\nmodel base\nr 3\ndag 2\nedge 0\nend\n";
-        match parse_instance(text).unwrap_err() {
-            ParseError::Dag(rbp_graph::io::ParseError::Malformed { line, .. }) => {
-                assert_eq!(line, 5)
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(located(parse_instance(text).unwrap_err()).0, 5);
         // and with a stream offset, line numbers shift accordingly
-        match parse_instance_at(text, 11).unwrap_err() {
-            ParseError::Dag(rbp_graph::io::ParseError::Malformed { line, .. }) => {
-                assert_eq!(line, 15)
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(located(parse_instance_at(text, 11).unwrap_err()).0, 15);
+        // a rejected edge set is reported at its 'dag <n>' line
+        let text = "instance v1\nmodel base\nr 3\ndag 2\nedge 0 1\nedge 1 0\nend\n";
+        assert!(matches!(
+            parse_instance_at(text, 11).unwrap_err(),
+            ParseError::Graph { line: 14, .. }
+        ));
     }
 
     #[test]
@@ -688,21 +480,16 @@ mod tests {
         // as a located dag-section error (the graph layer's wire cap),
         // never as an allocation abort in the embedding parser
         let text = "instance v1\nmodel base\nr 3\ndag 99999999999\nend\n";
-        match parse_instance(text).unwrap_err() {
-            ParseError::Dag(rbp_graph::io::ParseError::Malformed { line, .. }) => {
-                assert_eq!(line, 4)
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(located(parse_instance(text).unwrap_err()).0, 4);
     }
 
     #[test]
     fn trailing_statements_rejected() {
         let text = "instance v1\nmodel base\nr 3\ndag 1\nend\ninstance v1\n";
-        match parse_instance(text).unwrap_err() {
-            ParseError::UnexpectedToken { line: 6, .. } => {}
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(
+            located(parse_instance(text).unwrap_err()),
+            (6, "instance".into())
+        );
         // trailing blanks and comments are fine
         let text = "instance v1\nmodel base\nr 3\ndag 1\nend\n\n# done\n";
         assert!(parse_instance(text).is_ok());
@@ -717,13 +504,8 @@ mod tests {
             "compcost x/y",
         ] {
             let text = format!("instance v1\nmodel {bad}\nr 3\ndag 1\nend\n");
-            assert!(
-                matches!(
-                    parse_instance(&text),
-                    Err(ParseError::UnexpectedToken { line: 2, .. })
-                ),
-                "{bad} must be rejected"
-            );
+            let (line, _) = located(parse_instance(&text).unwrap_err());
+            assert_eq!(line, 2, "{bad} must be rejected");
         }
     }
 }

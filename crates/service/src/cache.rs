@@ -30,13 +30,18 @@
 //! restarted server keeps every proven `Optimal` it can still read, and
 //! a stale snapshot can never downgrade fresher results. An entry with
 //! flag `1` is skipped too: its key is a retired relabeling-invariant
-//! digest, and its trace is in another request's node ids. Snapshot
-//! files are the server's own state, so they belong in a trusted state
-//! directory, not a network input.
+//! digest, and its trace is in another request's node ids. The loader
+//! reads the file in one pass with the statement cursor of
+//! `rbp_graph::io`, handing the solution reader the cursor at each
+//! entry's document; like every wire reader it rejects a token past a
+//! statement's arguments, so a `cache v1 x` header is unreadable.
+//! Snapshot files are the server's own state, so they belong in a
+//! trusted state directory, not a network input.
 //!
 //! [`Instance::canonical_key`]: rbp_core::Instance::canonical_key
 
 use rbp_core::CanonicalKey;
+use rbp_graph::io::{Statements, Stmt};
 use rbp_solvers::{wire, Quality, Solution};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -259,31 +264,23 @@ impl SolutionCache {
     /// never panics and never aborts, so a server restarting over a
     /// damaged snapshot recovers everything still readable.
     pub fn load_snapshot(&self, text: &str) -> SnapshotReport {
-        let lines: Vec<&str> = text.lines().collect();
         let mut report = SnapshotReport::default();
-
-        // header: first non-blank, non-comment line must be `cache v1`
-        let header_ok = lines
-            .iter()
-            .map(|l| l.trim())
-            .find(|l| !l.is_empty() && !l.starts_with('#'))
-            .is_some_and(|l| {
-                let mut parts = l.split_whitespace();
-                parts.next() == Some("cache") && parts.next() == Some(CACHE_SNAPSHOT_VERSION)
-            });
-
-        // entry blocks: each starts at an `entry ` line and runs to the
-        // next one (the embedded solution document is self-terminated,
-        // so a truncated document simply fails its own parse)
-        let starts: Vec<usize> = (0..lines.len())
-            .filter(|&i| lines[i].trim_start().starts_with("entry "))
-            .collect();
-        for (si, &start) in starts.iter().enumerate() {
-            let end = starts.get(si + 1).copied().unwrap_or(lines.len());
-            if header_ok && self.load_entry(&lines[start..end], start + 1) {
+        let mut stmts = Statements::new(text, 1);
+        // header: the first statement must be `cache v1`
+        let header_ok = stmts.clone().next().is_some_and(|stmt| {
+            stmt.keyword == "cache"
+                && matches!(stmt.args("'cache v1'"), Ok([CACHE_SNAPSHOT_VERSION]))
+        });
+        // each entry is an `entry` statement and the self-terminated
+        // solution document after it; a damaged one rewinds to the
+        // line after its `entry` statement and resumes at the next one
+        while let Some(head) = stmts.find(|stmt| stmt.keyword == "entry") {
+            let doc = stmts.clone();
+            if header_ok && self.load_entry(&head, &mut stmts) {
                 report.recovered += 1;
             } else {
                 report.skipped += 1;
+                stmts = doc;
             }
         }
         self.recovered
@@ -292,18 +289,11 @@ impl SolutionCache {
         report
     }
 
-    /// Parses one entry block (`entry` line + solution document) and
-    /// offers it to the cache. Any parse failure, and a flag other than
-    /// `0`, returns `false`.
-    fn load_entry(&self, block: &[&str], first_line: usize) -> bool {
-        let mut parts = block[0].split_whitespace();
-        let (Some("entry"), Some(hex), Some("0"), Some(cost), None) = (
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-        ) else {
+    /// Parses one entry (its `entry` statement, then the solution
+    /// document `doc` reads on from it) and offers it to the cache. Any
+    /// parse failure, and a flag other than `0`, returns `false`.
+    fn load_entry(&self, head: &Stmt, doc: &mut Statements) -> bool {
+        let Ok([hex, "0", cost]) = head.args("'entry <key-hex> 0 <scaled-cost>'") else {
             return false;
         };
         let Some(key) = CanonicalKey::from_hex(hex) else {
@@ -312,8 +302,7 @@ impl SolutionCache {
         let Ok(scaled_cost) = cost.parse::<u128>() else {
             return false;
         };
-        let doc = block[1..].join("\n");
-        let Ok(parsed) = wire::parse_solution_at(&doc, first_line + 1) else {
+        let Ok(parsed) = wire::read_solution(doc) else {
             return false;
         };
         self.insert_or_upgrade(key, &parsed.spec, parsed.solution, scaled_cost);

@@ -14,7 +14,11 @@
 //!
 //! A `submit` line is immediately followed by one `instance v1`
 //! document; the document's `end` terminates the request. Blank lines
-//! and `#` comments are ignored everywhere.
+//! and `#` comments are ignored everywhere. Request lines are read by
+//! the statement cursor of `rbp_graph::io`, like every wire document: a
+//! token past a verb's arguments (`stats foo`) is rejected, and every
+//! error is that module's `ParseError` in session line numbers,
+//! answered as `protocol-error line N: …`.
 //!
 //! ## Responses (server → client)
 //!
@@ -48,6 +52,7 @@
 use crate::cache::AcceptPolicy;
 use crate::server::{Event, JobOptions, JobRequest, ServerStats};
 use rbp_core::io as core_io;
+use rbp_graph::io::{ParseError, Statements, Stmt};
 use rbp_solvers::wire;
 use std::io::BufRead;
 use std::time::Duration;
@@ -72,35 +77,11 @@ pub enum Request {
 /// the session stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
-    /// The first token of a request line is not a known verb.
-    UnknownCommand {
-        /// Line of the rejected verb.
-        line: usize,
-        /// The rejected token.
-        token: String,
-    },
-    /// A request line could not be parsed.
-    Malformed {
-        /// Line of the offending statement.
-        line: usize,
-        /// The token (or fragment) that was rejected.
-        token: String,
-        /// What the parser expected.
-        expected: &'static str,
-    },
-    /// A `key=value` option on a `submit` line was rejected.
-    BadOption {
-        /// Line of the submit statement.
-        line: usize,
-        /// The offending option, verbatim.
-        option: String,
-        /// Why it was rejected.
-        reason: &'static str,
-    },
-    /// The instance document under a `submit` failed to parse (line
-    /// numbers inside are already in session coordinates).
-    Instance(core_io::ParseError),
-    /// The stream ended inside a `submit` body.
+    /// A request line, or the instance document under a `submit`, was
+    /// rejected.
+    Parse(ParseError),
+    /// The stream ended inside a `submit` body: the session stops
+    /// reading.
     UnterminatedSubmit {
         /// Line of the submit statement.
         line: usize,
@@ -110,23 +91,7 @@ pub enum ProtocolError {
 impl std::fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProtocolError::UnknownCommand { line, token } => {
-                write!(
-                    f,
-                    "line {line}: unknown command '{token}' (expected submit, cancel, stats, or shutdown)"
-                )
-            }
-            ProtocolError::Malformed {
-                line,
-                token,
-                expected,
-            } => write!(f, "line {line}: unexpected '{token}', expected {expected}"),
-            ProtocolError::BadOption {
-                line,
-                option,
-                reason,
-            } => write!(f, "line {line}: bad option '{option}': {reason}"),
-            ProtocolError::Instance(e) => write!(f, "bad instance document: {e}"),
+            ProtocolError::Parse(e) => e.fmt(f),
             ProtocolError::UnterminatedSubmit { line } => write!(
                 f,
                 "line {line}: stream ended inside the submit body (missing 'end'?)"
@@ -137,9 +102,9 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-impl From<core_io::ParseError> for ProtocolError {
-    fn from(e: core_io::ParseError) -> Self {
-        ProtocolError::Instance(e)
+impl From<ParseError> for ProtocolError {
+    fn from(e: ParseError) -> Self {
+        ProtocolError::Parse(e)
     }
 }
 
@@ -148,23 +113,28 @@ impl From<core_io::ParseError> for ProtocolError {
 pub struct RequestReader<R> {
     reader: R,
     line: usize,
+    /// The request line, then the `submit` body read through its `end`.
+    buf: String,
 }
 
 impl<R: BufRead> RequestReader<R> {
     /// Wraps a stream; line numbering starts at 1.
     pub fn new(reader: R) -> Self {
-        RequestReader { reader, line: 0 }
+        RequestReader {
+            reader,
+            line: 0,
+            buf: String::new(),
+        }
     }
 
-    /// Reads one raw line; `Ok(None)` at EOF.
-    fn next_line(&mut self) -> std::io::Result<Option<String>> {
-        let mut buf = String::new();
-        let n = self.reader.read_line(&mut buf)?;
-        if n == 0 {
-            return Ok(None);
+    /// Appends the next line of the stream to `buf`; `false` at end of
+    /// stream.
+    fn read_line(&mut self) -> std::io::Result<bool> {
+        if self.reader.read_line(&mut self.buf)? == 0 {
+            return Ok(false);
         }
         self.line += 1;
-        Ok(Some(buf))
+        Ok(true)
     }
 
     /// Reads the next request. `Ok(None)` at end of stream;
@@ -174,137 +144,52 @@ impl<R: BufRead> RequestReader<R> {
     #[allow(clippy::type_complexity)]
     pub fn next_request(&mut self) -> std::io::Result<Option<Result<Request, ProtocolError>>> {
         loop {
-            let Some(raw) = self.next_line()? else {
+            self.buf.clear();
+            if !self.read_line()? {
                 return Ok(None);
-            };
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
             }
-            let lineno = self.line;
-            let mut parts = line.split_whitespace();
-            let verb = parts.next().expect("nonempty line");
-            return Ok(Some(match verb {
-                "submit" => self.read_submit(lineno, parts),
-                "cancel" => match (parts.next(), parts.next()) {
-                    (Some(id), None) => Ok(Request::Cancel { id: id.to_string() }),
-                    _ => Err(ProtocolError::Malformed {
-                        line: lineno,
-                        token: line.to_string(),
-                        expected: "'cancel <id>'",
-                    }),
+            let Some(stmt) = Statements::new(&self.buf, self.line).next() else {
+                continue;
+            };
+            let request = match stmt.keyword {
+                "submit" => {
+                    let head = submit_head(&stmt);
+                    return Ok(Some(self.read_submit(stmt.line, head)));
+                }
+                "cancel" => match stmt.args("'cancel <id>'") {
+                    Ok([""]) => Err(stmt.error("", "a job id in 'cancel <id>'")),
+                    Ok([id]) => Ok(Request::Cancel { id: id.to_string() }),
+                    Err(e) => Err(e),
                 },
-                "stats" => Ok(Request::Stats),
-                "shutdown" => Ok(Request::Shutdown),
-                other => Err(ProtocolError::UnknownCommand {
-                    line: lineno,
-                    token: other.to_string(),
-                }),
-            }));
+                "stats" => stmt.args("'stats'").map(|[]| Request::Stats),
+                "shutdown" => stmt.args("'shutdown'").map(|[]| Request::Shutdown),
+                other => Err(stmt.error(other, "'submit', 'cancel', 'stats', or 'shutdown'")),
+            };
+            return Ok(Some(request.map_err(ProtocolError::from)));
         }
     }
 
-    /// Parses a `submit` head and its instance-document body. The body
-    /// is always consumed through its `end` terminator — even when the
-    /// head is bad — so the stream stays request-aligned.
+    /// Reads a `submit` body through its `end` terminator — even when the
+    /// head is bad, so the stream stays request-aligned — and parses it.
     fn read_submit(
         &mut self,
         head_line: usize,
-        mut parts: std::str::SplitWhitespace<'_>,
+        head: Result<(String, String, JobOptions), ParseError>,
     ) -> Result<Request, ProtocolError> {
-        let head: Result<(String, String, JobOptions), ProtocolError> = (|| {
-            let id = parts
-                .next()
-                .ok_or(ProtocolError::Malformed {
-                    line: head_line,
-                    token: "submit".to_string(),
-                    expected: "'submit <id> <spec> [options…]'",
-                })?
-                .to_string();
-            let spec = parts
-                .next()
-                .ok_or(ProtocolError::Malformed {
-                    line: head_line,
-                    token: id.clone(),
-                    expected: "a registry spec after the job id",
-                })?
-                .to_string();
-            let mut options = JobOptions::default();
-            for opt in parts {
-                let (key, value) = opt
-                    .split_once('=')
-                    .ok_or_else(|| bad_option(head_line, opt, "options are 'key=value'"))?;
-                match key {
-                    "deadline-ms" => {
-                        let ms: u64 = value.parse().map_err(|_| {
-                            bad_option(head_line, opt, "deadline-ms takes an integer")
-                        })?;
-                        options.deadline = Some(Duration::from_millis(ms));
-                    }
-                    "max-expansions" => {
-                        options.max_expansions = Some(value.parse().map_err(|_| {
-                            bad_option(head_line, opt, "max-expansions takes an integer")
-                        })?);
-                    }
-                    "priority" => {
-                        options.priority = value
-                            .parse()
-                            .map_err(|_| bad_option(head_line, opt, "priority takes an integer"))?;
-                    }
-                    "accept" => {
-                        options.accept = match value {
-                            "optimal" => AcceptPolicy::Optimal,
-                            "bound" => AcceptPolicy::Bound,
-                            _ => {
-                                return Err(bad_option(
-                                    head_line,
-                                    opt,
-                                    "accept is 'optimal' or 'bound'",
-                                ))
-                            }
-                        };
-                    }
-                    "cache" => {
-                        options.use_cache = match value {
-                            "on" => true,
-                            "off" => false,
-                            _ => return Err(bad_option(head_line, opt, "cache is 'on' or 'off'")),
-                        };
-                    }
-                    _ => {
-                        return Err(bad_option(
-                            head_line,
-                            opt,
-                            "known options: deadline-ms, max-expansions, priority, accept, cache",
-                        ))
-                    }
+        self.buf.clear();
+        let body_first_line = self.line + 1;
+        loop {
+            let start = self.buf.len();
+            match self.read_line() {
+                Ok(true) if self.buf[start..].trim() == "end" => break,
+                Ok(true) => {}
+                Ok(false) | Err(_) => {
+                    return Err(ProtocolError::UnterminatedSubmit { line: head_line })
                 }
             }
-            Ok((id, spec, options))
-        })();
-
-        // consume the body through `end` regardless, for resync
-        let mut body = String::new();
-        let body_first_line = self.line + 1;
-        let terminated = loop {
-            let Some(raw) = self
-                .next_line()
-                .map_err(|_| ProtocolError::UnterminatedSubmit { line: head_line })?
-            else {
-                break false;
-            };
-            let done = raw.trim() == "end";
-            body.push_str(&raw);
-            if done {
-                break true;
-            }
-        };
-        if !terminated {
-            return Err(ProtocolError::UnterminatedSubmit { line: head_line });
         }
-
         let (id, spec, options) = head?;
-        let instance = core_io::parse_instance_at(&body, body_first_line)?;
+        let instance = core_io::parse_instance_at(&self.buf, body_first_line)?;
         Ok(Request::Submit(JobRequest {
             id,
             spec,
@@ -314,12 +199,60 @@ impl<R: BufRead> RequestReader<R> {
     }
 }
 
-fn bad_option(line: usize, option: &str, reason: &'static str) -> ProtocolError {
-    ProtocolError::BadOption {
-        line,
-        option: option.to_string(),
-        reason,
+/// Parses the `submit <id> <spec> [options…]` statement.
+fn submit_head(stmt: &Stmt) -> Result<(String, String, JobOptions), ParseError> {
+    let mut tokens = stmt.rest.split_whitespace();
+    let id = tokens
+        .next()
+        .ok_or_else(|| stmt.error("", "'submit <id> <spec> [options…]'"))?;
+    let spec = tokens
+        .next()
+        .ok_or_else(|| stmt.error("", "a registry spec after the job id"))?;
+    let mut options = JobOptions::default();
+    for opt in tokens {
+        let bad = |expected| stmt.error(opt, expected);
+        let (key, value) = opt
+            .split_once('=')
+            .ok_or_else(|| bad("an option as 'key=value'"))?;
+        match key {
+            "deadline-ms" => {
+                let ms = value
+                    .parse()
+                    .map_err(|_| bad("an integer 'deadline-ms=N'"))?;
+                options.deadline = Some(Duration::from_millis(ms));
+            }
+            "max-expansions" => {
+                options.max_expansions = Some(
+                    value
+                        .parse()
+                        .map_err(|_| bad("an integer 'max-expansions=N'"))?,
+                );
+            }
+            "priority" => {
+                options.priority = value.parse().map_err(|_| bad("an integer 'priority=N'"))?;
+            }
+            "accept" => {
+                options.accept = match value {
+                    "optimal" => AcceptPolicy::Optimal,
+                    "bound" => AcceptPolicy::Bound,
+                    _ => return Err(bad("'accept=optimal' or 'accept=bound'")),
+                };
+            }
+            "cache" => {
+                options.use_cache = match value {
+                    "on" => true,
+                    "off" => false,
+                    _ => return Err(bad("'cache=on' or 'cache=off'")),
+                };
+            }
+            _ => {
+                return Err(bad(
+                    "an option among deadline-ms, max-expansions, priority, accept, cache",
+                ))
+            }
+        }
     }
+    Ok((id.to_string(), spec.to_string(), options))
 }
 
 /// Renders one server [`Event`] in the response grammar. `Done` renders
@@ -439,7 +372,7 @@ mod tests {
         assert_eq!(reqs.len(), 2, "body consumed, next request seen");
         assert!(matches!(
             &reqs[0],
-            Err(ProtocolError::BadOption { option, .. }) if option == "accept=maybe"
+            Err(ProtocolError::Parse(ParseError::Syntax { line: 1, token, .. })) if token == "accept=maybe"
         ));
         assert!(matches!(&reqs[1], Ok(Request::Stats)));
     }
@@ -450,11 +383,7 @@ mod tests {
         let text = "submit j1 exact\ninstance v1\nmodel quantum\nr 2\ndag 1\nend\n";
         let reqs = read_all(text);
         match &reqs[0] {
-            Err(ProtocolError::Instance(core_io::ParseError::UnexpectedToken {
-                line,
-                token,
-                ..
-            })) => {
+            Err(ProtocolError::Parse(ParseError::Syntax { line, token, .. })) => {
                 assert_eq!(*line, 3);
                 assert_eq!(token, "quantum");
             }
@@ -475,9 +404,10 @@ mod tests {
     #[test]
     fn unknown_commands_skip_one_line_only() {
         let reqs = read_all("frobnicate\nstats\n");
-        assert!(
-            matches!(&reqs[0], Err(ProtocolError::UnknownCommand { token, .. }) if token == "frobnicate")
-        );
+        assert!(matches!(
+            &reqs[0],
+            Err(ProtocolError::Parse(ParseError::Syntax { line: 1, token, .. })) if token == "frobnicate"
+        ));
         assert!(matches!(&reqs[1], Ok(Request::Stats)));
     }
 

@@ -4,13 +4,16 @@
 //!
 //! The properties are the robustness contract of the service edge:
 //! arbitrary bytes and mutilated valid documents must come back as
-//! structured, line-numbered errors — never a panic, never an abort,
-//! never an attacker-controlled allocation.
+//! structured errors that name a line of the document (or the line one
+//! past its end) — never a panic, never an abort, never an
+//! attacker-controlled allocation — and a document read at an offset
+//! must cite the same lines shifted by that offset.
 
 use proptest::prelude::*;
 use rbp_core::{write_instance, CostModel, Instance};
 use rbp_graph::generate;
-use rbp_service::{Request, RequestReader, SolutionCache};
+use rbp_graph::io::ParseError;
+use rbp_service::{ProtocolError, Request, RequestReader, SolutionCache};
 use rbp_solvers::wire;
 
 fn instance_doc() -> String {
@@ -120,15 +123,122 @@ fn mutate(doc: &str, op: usize, pos: usize, byte: u8) -> String {
     }
 }
 
-/// The first "line N" number in an error rendering, if any.
-fn line_of(msg: &str) -> Option<usize> {
-    msg.split("line ")
-        .nth(1)?
-        .split(':')
-        .next()?
-        .trim()
-        .parse()
-        .ok()
+/// Checks that an error rendering starts with `line N:` for a line `N`
+/// of a document of `lines` lines starting at line `first`, or the line
+/// one past its end, and returns `N`.
+fn cited_line(msg: &str, first: usize, lines: usize) -> Result<usize, TestCaseError> {
+    let n = msg
+        .strip_prefix("line ")
+        .and_then(|rest| rest.split(':').next())
+        .and_then(|n| n.parse().ok());
+    match n {
+        Some(n) if (first..=first + lines).contains(&n) => Ok(n),
+        _ => Err(TestCaseError::fail(format!(
+            "'{msg}' names no line in {first}..={}",
+            first + lines
+        ))),
+    }
+}
+
+/// Reads `text` at line 1 and at line 101 of an enclosing document: the
+/// outcomes agree, and an error cites a document line, shifted by 100.
+fn reads_alike_at_an_offset<T, E: std::fmt::Display + std::fmt::Debug>(
+    text: &str,
+    read_at: impl Fn(&str, usize) -> Result<T, E>,
+    same: impl Fn(&T, &T) -> bool,
+) -> Result<(), TestCaseError> {
+    let lines = text.lines().count();
+    match (read_at(text, 1), read_at(text, 101)) {
+        (Ok(a), Ok(b)) => prop_assert!(same(&a, &b), "offset changed the parse"),
+        (Err(e), Err(e_at)) => {
+            let n = cited_line(&e.to_string(), 1, lines)?;
+            prop_assert_eq!(cited_line(&e_at.to_string(), 101, lines)?, n + 100);
+        }
+        (a, b) => prop_assert!(
+            false,
+            "offset changed the outcome: {:?} vs {:?}",
+            a.err(),
+            b.err()
+        ),
+    }
+    Ok(())
+}
+
+fn same_solution(a: &wire::WireSolution, b: &wire::WireSolution) -> bool {
+    a.spec == b.spec
+        && wire::write_solution(&a.spec, &a.solution) == wire::write_solution(&b.spec, &b.solution)
+}
+
+/// Statements that take a token past their arguments, and an `end`
+/// before the `dag` section: each edits one line of a document that
+/// reads, and is rejected at that line, naming the offending token.
+#[test]
+fn trailing_tokens_and_early_ends_are_located() {
+    type Reader = fn(&str) -> Result<(), ParseError>;
+    let dag: Reader = |text| rbp_graph::io::parse_dag(text).map(drop);
+    let instance: Reader = |text| rbp_core::io::parse_instance(text).map(drop);
+    let solution: Reader = |text| wire::parse_solution(text).map(drop);
+    let request: Reader = |text| match RequestReader::new(text.as_bytes()).next_request() {
+        Ok(Some(Ok(_))) => Ok(()),
+        Ok(Some(Err(ProtocolError::Parse(e)))) => Err(e),
+        other => panic!("{text:?} read as {other:?}"),
+    };
+    const DAG: &[&str] = &["dag 2", "edge 0 1"];
+    const INSTANCE: &[&str] = &[
+        "instance v2",
+        "model base",
+        "r 3",
+        "procs 2",
+        "dag 2",
+        "edge 0 1",
+        "end",
+    ];
+    const SOLUTION: &[&str] = &[
+        "solution v1",
+        "spec exact",
+        "quality optimal",
+        "cost 0 1",
+        "trace 1",
+        "compute 0",
+        "end",
+    ];
+    const REQUEST: &[&str] = &["stats"];
+    /// `doc` with its 1-based `line` replaced by `statement`.
+    fn edit(doc: &[&str], line: usize, statement: &str) -> String {
+        let mut text = String::new();
+        for (i, l) in doc.iter().enumerate() {
+            text.push_str(if i + 1 == line { statement } else { l });
+            text.push('\n');
+        }
+        text
+    }
+    let rows: [(Reader, &[&str], usize, &str, &str); 12] = [
+        (instance, INSTANCE, 3, "r 3 4", "4"),
+        (instance, INSTANCE, 4, "procs 2 9", "9"),
+        (instance, INSTANCE, 5, "dag 2 5", "5"),
+        (instance, INSTANCE, 5, "end", "end"),
+        (dag, DAG, 1, "dag 2 5", "5"),
+        (dag, DAG, 2, "edge 0 1 7", "7"),
+        (solution, SOLUTION, 1, "solution v1 x", "x"),
+        (solution, SOLUTION, 3, "quality optimal 5", "5"),
+        (solution, SOLUTION, 4, "cost 1 2 3", "3"),
+        (solution, SOLUTION, 5, "trace 1 9", "9"),
+        (solution, SOLUTION, 6, "compute 0 p0 junk", "junk"),
+        (request, REQUEST, 1, "stats foo", "foo"),
+    ];
+    for (read, doc, line, statement, token) in rows {
+        let valid = edit(doc, 0, "");
+        assert_eq!(read(&valid), Ok(()), "{valid:?}");
+        let text = edit(doc, line, statement);
+        match read(&text) {
+            Err(ParseError::Syntax {
+                line: at,
+                token: found,
+                ..
+            }) => assert_eq!((at, found.as_str()), (line, token), "{text:?}"),
+            other => panic!("{text:?} must be rejected at line {line}, got {other:?}"),
+        }
+    }
 }
 
 proptest! {
@@ -137,11 +247,15 @@ proptest! {
         chars in proptest::collection::vec(any::<char>(), 0..300),
     ) {
         let text: String = chars.into_iter().collect();
+        let lines = text.lines().count();
         let mut rr = RequestReader::new(std::io::Cursor::new(text));
         loop {
             match rr.next_request() {
                 Ok(None) => break,
-                Ok(Some(Ok(_))) | Ok(Some(Err(_))) => {}
+                Ok(Some(Ok(_))) => {}
+                Ok(Some(Err(e))) => {
+                    cited_line(&e.to_string(), 1, lines)?;
+                }
                 Err(_) => break,
             }
         }
@@ -158,14 +272,9 @@ proptest! {
             match r {
                 Ok(Request::Submit(req)) => prop_assert!(!req.id.is_empty()),
                 Ok(_) => {}
+                // every error cites a real position in the session stream
                 Err(e) => {
-                    // errors render, and any line they cite is a real
-                    // position in the session stream
-                    let msg = format!("{e}");
-                    prop_assert!(!msg.is_empty());
-                    if let Some(n) = line_of(&msg) {
-                        prop_assert!(n >= 1 && n <= lines + 1, "{msg} vs {lines} lines");
-                    }
+                    cited_line(&e.to_string(), 1, lines)?;
                 }
             }
         }
@@ -176,21 +285,7 @@ proptest! {
         op in 0usize..5, pos in any::<usize>(), byte in any::<u8>(),
     ) {
         let text = mutate(&instance_doc(), op, pos, byte);
-        let base = rbp_core::io::parse_instance(&text);
-        let shifted = rbp_core::io::parse_instance_at(&text, 101);
-        match (base, shifted) {
-            (Ok(a), Ok(b)) => prop_assert!(rbp_core::io::same_instance(&a, &b)),
-            (Err(e), Err(e_at)) => {
-                // the same failure, reported in the embedding
-                // document's coordinates when parsed with an offset
-                if let (Some(n), Some(n_at)) =
-                    (line_of(&format!("{e}")), line_of(&format!("{e_at}")))
-                {
-                    prop_assert_eq!(n_at, n + 100);
-                }
-            }
-            (a, b) => prop_assert!(false, "offset changed the outcome: {a:?} vs {b:?}"),
-        }
+        reads_alike_at_an_offset(&text, rbp_core::io::parse_instance_at, rbp_core::io::same_instance)?;
     }
 
     #[test]
@@ -198,19 +293,7 @@ proptest! {
         op in 0usize..5, pos in any::<usize>(), byte in any::<u8>(),
     ) {
         let text = mutate(&mpp_instance_doc(), op, pos, byte);
-        let base = rbp_core::io::parse_instance(&text);
-        let shifted = rbp_core::io::parse_instance_at(&text, 101);
-        match (base, shifted) {
-            (Ok(a), Ok(b)) => prop_assert!(rbp_core::io::same_instance(&a, &b)),
-            (Err(e), Err(e_at)) => {
-                if let (Some(n), Some(n_at)) =
-                    (line_of(&format!("{e}")), line_of(&format!("{e_at}")))
-                {
-                    prop_assert_eq!(n_at, n + 100);
-                }
-            }
-            (a, b) => prop_assert!(false, "offset changed the outcome: {a:?} vs {b:?}"),
-        }
+        reads_alike_at_an_offset(&text, rbp_core::io::parse_instance_at, rbp_core::io::same_instance)?;
     }
 
     #[test]
@@ -227,32 +310,25 @@ proptest! {
                 prop_assert_eq!(back.solution.trace, ws.solution.trace);
             }
             Err(e) => {
-                let msg = format!("{e}");
-                prop_assert!(!msg.is_empty());
+                cited_line(&e.to_string(), 1, text.lines().count())?;
             }
         }
     }
 
     #[test]
-    fn mutated_dag_docs_never_panic(
+    fn mutated_dag_docs_never_panic_and_keep_document_coordinates(
         op in 0usize..5, pos in any::<usize>(), byte in any::<u8>(),
     ) {
         let text = mutate(&dag_doc(), op, pos, byte);
-        if let Err(e) = rbp_graph::io::parse_dag(&text) {
-            let msg = format!("{e}");
-            prop_assert!(!msg.is_empty());
-        }
+        reads_alike_at_an_offset(&text, rbp_graph::io::parse_dag_at, |a, b| a == b)?;
     }
 
     #[test]
-    fn mutated_solution_docs_never_panic(
+    fn mutated_solution_docs_never_panic_and_keep_document_coordinates(
         op in 0usize..5, pos in any::<usize>(), byte in any::<u8>(),
     ) {
         let text = mutate(&solution_doc(), op, pos, byte);
-        if let Err(e) = wire::parse_solution(&text) {
-            let msg = format!("{e}");
-            prop_assert!(!msg.is_empty());
-        }
+        reads_alike_at_an_offset(&text, wire::parse_solution_at, same_solution)?;
     }
 
     #[test]

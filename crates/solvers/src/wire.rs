@@ -27,6 +27,13 @@
 //! single-processor documents are byte-identical to what they always
 //! were; the parser accepts the token on any move line.
 //!
+//! The reader is [`rbp_graph::io`]'s statement cursor, and its errors are
+//! that module's [`ParseError`]: each names its document line and the
+//! offending token, a statement with a token past its arguments
+//! (`cost 1 2 3`) is rejected, and only `spec` takes the rest of its
+//! line. `end` closes the document; [`read_solution`] leaves the cursor
+//! after it, so an embedding document reads on from there.
+//!
 //! A parsed solution is **as transmitted**: the cost and quality are
 //! whatever the document claims, because validation needs the instance
 //! the trace pebbles. Callers that hold the instance should replay
@@ -35,6 +42,7 @@
 
 use crate::api::{Quality, Solution, Stats};
 use rbp_core::{Cost, Move, Pebbling};
+use rbp_graph::io::{ParseError, Statements, Stmt};
 use rbp_graph::NodeId;
 use std::fmt::Write as _;
 
@@ -56,75 +64,6 @@ pub struct WireSolution {
     pub spec: String,
     /// The transmitted solution (unvalidated; see the module docs).
     pub solution: Solution,
-}
-
-/// Errors from [`parse_solution`]. Line numbers are 1-based document
-/// coordinates (offset by `first_line` in [`parse_solution_at`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseError {
-    /// The first non-comment line must be `solution v1`.
-    MissingHeader,
-    /// The header names a version this parser does not speak.
-    UnsupportedVersion {
-        /// Line of the header.
-        line: usize,
-        /// The version token found.
-        found: String,
-    },
-    /// A statement could not be parsed.
-    UnexpectedToken {
-        /// 1-based line number of the offending statement.
-        line: usize,
-        /// The token (or fragment) that was rejected.
-        token: String,
-        /// What the parser expected in its place.
-        expected: &'static str,
-    },
-    /// A single-valued field appeared twice.
-    DuplicateField {
-        /// Line of the second occurrence.
-        line: usize,
-        /// The field name.
-        field: &'static str,
-    },
-    /// A required field never appeared.
-    MissingField {
-        /// The field name.
-        field: &'static str,
-    },
-    /// The document ended without the `end` terminator.
-    MissingEnd,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseError::MissingHeader => write!(f, "missing 'solution v1' header"),
-            ParseError::UnsupportedVersion { line, found } => {
-                write!(f, "line {line}: unsupported solution version '{found}'")
-            }
-            ParseError::UnexpectedToken {
-                line,
-                token,
-                expected,
-            } => write!(f, "line {line}: unexpected '{token}', expected {expected}"),
-            ParseError::DuplicateField { line, field } => {
-                write!(f, "line {line}: duplicate '{field}' field")
-            }
-            ParseError::MissingField { field } => write!(f, "missing required '{field}' field"),
-            ParseError::MissingEnd => write!(f, "missing 'end' terminator"),
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-fn unexpected(line: usize, token: impl Into<String>, expected: &'static str) -> ParseError {
-    ParseError::UnexpectedToken {
-        line,
-        token: token.into(),
-        expected,
-    }
 }
 
 /// Serializes a solution (and the spec that produced it) as a `solution
@@ -174,23 +113,22 @@ pub fn parse_solution(text: &str) -> Result<WireSolution, ParseError> {
 /// in the enclosing document, and every reported error line is in
 /// document coordinates.
 pub fn parse_solution_at(text: &str, first_line: usize) -> Result<WireSolution, ParseError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, raw)| (first_line + i, raw.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
+    read_solution(&mut Statements::new(text, first_line))
+}
 
-    let (hline, header) = lines.next().ok_or(ParseError::MissingHeader)?;
-    let mut parts = header.split_whitespace();
-    if parts.next() != Some("solution") {
-        return Err(ParseError::MissingHeader);
-    }
-    let version = parts.next().unwrap_or("");
-    if version != SOLUTION_VERSION {
-        return Err(ParseError::UnsupportedVersion {
-            line: hline,
-            found: version.to_string(),
-        });
+/// Reads one `solution v1` document from `stmts` through its `end`
+/// statement, leaving the cursor on the line after it.
+pub fn read_solution(stmts: &mut Statements<'_>) -> Result<WireSolution, ParseError> {
+    const HEADER: &str = "'solution v1' as the first statement";
+    match stmts.next() {
+        Some(stmt) if stmt.keyword == "solution" => {
+            let [version] = stmt.args(HEADER)?;
+            if version != SOLUTION_VERSION {
+                return Err(stmt.error(version, "solution version 'v1'"));
+            }
+        }
+        Some(stmt) => return Err(stmt.error(stmt.keyword, HEADER)),
+        None => return Err(stmts.missing(HEADER)),
     }
 
     let mut spec: Option<String> = None;
@@ -198,166 +136,101 @@ pub fn parse_solution_at(text: &str, first_line: usize) -> Result<WireSolution, 
     let mut cost: Option<Cost> = None;
     let mut stats = Stats::new();
     let mut trace: Option<Pebbling> = None;
-    let mut remaining_moves: usize = 0;
-    let mut saw_end = false;
-
-    for (lineno, line) in lines {
-        let mut parts = line.split_whitespace();
-        let keyword = parts.next().expect("nonempty line");
-        if remaining_moves > 0 {
-            if !matches!(keyword, "load" | "store" | "compute" | "delete") {
-                return Err(unexpected(
-                    lineno,
-                    keyword,
-                    "a move line: 'load|store|compute|delete <node>' ('trace <len>' declared more moves)",
-                ));
-            }
-            let v = parse_node(lineno, parts.next())?;
-            let proc = parse_proc(lineno, parts.next())?;
-            let t = trace.as_mut().expect("trace started");
-            let mv = match keyword {
-                "load" => Move::Load(v),
-                "store" => Move::Store(v),
-                "compute" => Move::Compute(v),
-                "delete" => Move::Delete(v),
-                _ => unreachable!(),
-            };
-            t.push_on(mv, proc);
-            remaining_moves -= 1;
-            continue;
-        }
-        match keyword {
-            "spec" => {
-                if spec.is_some() {
-                    return Err(ParseError::DuplicateField {
-                        line: lineno,
-                        field: "spec",
-                    });
-                }
-                let rest = line["spec".len()..].trim();
-                if rest.is_empty() {
-                    return Err(unexpected(lineno, line, "a registry spec after 'spec'"));
-                }
-                spec = Some(rest.to_string());
-            }
-            "quality" => {
-                if quality.is_some() {
-                    return Err(ParseError::DuplicateField {
-                        line: lineno,
-                        field: "quality",
-                    });
-                }
-                quality = Some(match parts.next() {
-                    Some("optimal") => Quality::Optimal,
-                    Some("infeasible") => Quality::Infeasible,
-                    Some("upper-bound") => {
-                        let token = parts.next().unwrap_or("");
-                        let lower_bound = token.parse().map_err(|_| {
-                            unexpected(lineno, token, "a lower bound after 'upper-bound'")
-                        })?;
-                        Quality::UpperBound { lower_bound }
-                    }
-                    other => {
-                        return Err(unexpected(
-                            lineno,
-                            other.unwrap_or(""),
-                            "'optimal', 'upper-bound <lb>', or 'infeasible'",
-                        ))
-                    }
-                });
-            }
-            "cost" => {
-                if cost.is_some() {
-                    return Err(ParseError::DuplicateField {
-                        line: lineno,
-                        field: "cost",
-                    });
-                }
-                let t = parse_u64(lineno, parts.next(), "transfer count in 'cost <t> <c>'")?;
-                let c = parse_u64(lineno, parts.next(), "compute count in 'cost <t> <c>'")?;
-                cost = Some(Cost {
-                    transfers: t,
-                    computes: c,
-                });
-            }
+    let end = loop {
+        let Some(stmt) = stmts.next() else {
+            return Err(stmts.missing("'end'"));
+        };
+        match stmt.keyword {
+            "spec" => stmt.once(&mut spec, || match stmt.rest {
+                "" => Err(stmt.error("", "a registry spec after 'spec'")),
+                rest => Ok(rest.to_string()),
+            })?,
+            "quality" => stmt.once(&mut quality, || parse_quality(&stmt))?,
+            "cost" => stmt.once(&mut cost, || {
+                let [t, c] = stmt.args("'cost <transfers> <computes>'")?;
+                Ok(Cost {
+                    transfers: stmt.parse(t, "transfer count in 'cost <t> <c>'")?,
+                    computes: stmt.parse(c, "compute count in 'cost <t> <c>'")?,
+                })
+            })?,
             "stat" => {
-                let key = parts
-                    .next()
-                    .ok_or_else(|| unexpected(lineno, line, "a key in 'stat <key> <value>'"))?;
-                let value = parse_u64(lineno, parts.next(), "a value in 'stat <key> <value>'")?;
+                let [key, value] = stmt.args("'stat <key> <value>'")?;
+                let value = stmt.parse(value, "a value in 'stat <key> <value>'")?;
                 stats.set(key, value);
             }
-            "trace" => {
-                if trace.is_some() {
-                    return Err(ParseError::DuplicateField {
-                        line: lineno,
-                        field: "trace",
-                    });
-                }
-                let len =
-                    parse_u64(lineno, parts.next(), "a move count in 'trace <len>'")? as usize;
-                // the declared length is untrusted wire input: clamp the
-                // preallocation so `trace 99999999999` cannot abort the
-                // process on an impossible reservation — the vector still
-                // grows naturally if the moves actually arrive
-                trace = Some(Pebbling::with_capacity(len.min(TRACE_PREALLOC_CAP)));
-                remaining_moves = len;
-            }
+            "trace" => stmt.once(&mut trace, || read_trace(&stmt, stmts))?,
             "end" => {
-                saw_end = true;
-                break;
+                let [] = stmt.args("'end'")?;
+                break stmt;
             }
             other => {
-                return Err(unexpected(
-                    lineno,
+                return Err(stmt.error(
                     other,
                     "'spec', 'quality', 'cost', 'stat', 'trace', or 'end'",
                 ))
             }
         }
-    }
+    };
 
-    if remaining_moves > 0 || !saw_end {
-        return Err(ParseError::MissingEnd);
-    }
-    let spec = spec.ok_or(ParseError::MissingField { field: "spec" })?;
-    let quality = quality.ok_or(ParseError::MissingField { field: "quality" })?;
-    let cost = cost.ok_or(ParseError::MissingField { field: "cost" })?;
-    let trace = trace.ok_or(ParseError::MissingField { field: "trace" })?;
+    let field = |expected| end.error(end.keyword, expected);
     Ok(WireSolution {
-        spec,
+        spec: spec.ok_or_else(|| field("a 'spec' field before 'end'"))?,
         solution: Solution {
-            trace,
-            cost,
-            quality,
+            quality: quality.ok_or_else(|| field("a 'quality' field before 'end'"))?,
+            cost: cost.ok_or_else(|| field("a 'cost' field before 'end'"))?,
+            trace: trace.ok_or_else(|| field("a 'trace' field before 'end'"))?,
             stats,
         },
     })
 }
 
-fn parse_u64(line: usize, token: Option<&str>, expected: &'static str) -> Result<u64, ParseError> {
-    let token = token.unwrap_or("");
-    token.parse().map_err(|_| unexpected(line, token, expected))
-}
-
-fn parse_node(line: usize, token: Option<&str>) -> Result<NodeId, ParseError> {
-    let token = token.unwrap_or("");
-    let v: usize = token
-        .parse()
-        .map_err(|_| unexpected(line, token, "a node id in a move line"))?;
-    Ok(NodeId::new(v))
-}
-
-/// The optional trailing `p<proc>` annotation of a move line. Absent
-/// means processor 0 (a classic single-processor move).
-fn parse_proc(line: usize, token: Option<&str>) -> Result<u16, ParseError> {
-    match token {
-        None => Ok(0),
-        Some(t) => t
-            .strip_prefix('p')
-            .and_then(|d| d.parse().ok())
-            .ok_or_else(|| unexpected(line, t, "a 'p<proc>' annotation after the node id")),
+fn parse_quality(stmt: &Stmt) -> Result<Quality, ParseError> {
+    const FORMS: &str = "'optimal', 'upper-bound <lb>', or 'infeasible'";
+    match stmt.args(FORMS)? {
+        ["optimal", ""] => Ok(Quality::Optimal),
+        ["infeasible", ""] => Ok(Quality::Infeasible),
+        ["upper-bound", lb] => Ok(Quality::UpperBound {
+            lower_bound: stmt.parse(lb, "a lower bound after 'upper-bound'")?,
+        }),
+        ["optimal" | "infeasible", extra] => Err(stmt.error(extra, FORMS)),
+        [other, _] => Err(stmt.error(other, FORMS)),
     }
+}
+
+/// Reads the `<len>` move statements a `trace <len>` statement declares.
+fn read_trace(stmt: &Stmt, stmts: &mut Statements<'_>) -> Result<Pebbling, ParseError> {
+    const MOVE: &str = "a move line: 'load|store|compute|delete <node> [p<proc>]' ('trace <len>' declared more moves)";
+    let [len] = stmt.args("'trace <len>'")?;
+    let len: usize = stmt.parse(len, "a move count in 'trace <len>'")?;
+    // the declared length is untrusted wire input: clamp the
+    // preallocation so `trace 99999999999` cannot abort the process on
+    // an impossible reservation — the vector still grows naturally if
+    // the moves actually arrive
+    let mut trace = Pebbling::with_capacity(len.min(TRACE_PREALLOC_CAP));
+    for _ in 0..len {
+        let Some(mv) = stmts.next() else {
+            return Err(stmts.missing(MOVE));
+        };
+        let kind: fn(NodeId) -> Move = match mv.keyword {
+            "load" => Move::Load,
+            "store" => Move::Store,
+            "compute" => Move::Compute,
+            "delete" => Move::Delete,
+            other => return Err(mv.error(other, MOVE)),
+        };
+        let [node, proc] = mv.args(MOVE)?;
+        let v: u32 = mv.parse(node, "a node id in a move line")?;
+        // the optional `p<proc>` annotation; absent means processor 0
+        let proc = match proc {
+            "" => 0,
+            tag => tag
+                .strip_prefix('p')
+                .and_then(|d| d.parse().ok())
+                .ok_or_else(|| mv.error(tag, "a 'p<proc>' annotation after the node id"))?,
+        };
+        trace.push_on(kind(NodeId::new(v as usize)), proc);
+    }
+    Ok(trace)
 }
 
 #[cfg(test)]
@@ -366,6 +239,14 @@ mod tests {
     use crate::registry;
     use rbp_core::{engine, CostModel, Instance};
     use rbp_graph::DagBuilder;
+
+    /// The line and token of a syntax error.
+    fn located(err: ParseError) -> (usize, String) {
+        match err {
+            ParseError::Syntax { line, token, .. } => (line, token),
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
+    }
 
     fn diamond() -> Instance {
         let mut b = DagBuilder::new(3);
@@ -421,17 +302,14 @@ mod tests {
 
     #[test]
     fn header_and_version_checked() {
-        assert_eq!(parse_solution("").unwrap_err(), ParseError::MissingHeader);
+        assert_eq!(located(parse_solution("").unwrap_err()), (1, String::new()));
         assert_eq!(
-            parse_solution("spec exact\n").unwrap_err(),
-            ParseError::MissingHeader
+            located(parse_solution("spec exact\n").unwrap_err()),
+            (1, "spec".into())
         );
         assert_eq!(
-            parse_solution("solution v7\nend\n").unwrap_err(),
-            ParseError::UnsupportedVersion {
-                line: 1,
-                found: "v7".into()
-            }
+            located(parse_solution("solution v7\nend\n").unwrap_err()),
+            (1, "v7".into())
         );
     }
 
@@ -439,32 +317,33 @@ mod tests {
     fn structural_errors_located() {
         let text = "solution v1\nspec exact\nquality optimal\ncost 0 3\ntrace 2\ncompute 0\nend\n";
         // 'end' arrives while a move is still owed
-        match parse_solution(text).unwrap_err() {
-            ParseError::UnexpectedToken { line: 7, token, .. } => assert_eq!(token, "end"),
-            other => panic!("{other:?}"),
-        }
-        // ...and a document that simply stops short is MissingEnd
+        assert_eq!(
+            located(parse_solution(text).unwrap_err()),
+            (7, "end".into())
+        );
+        // ...and a document that simply stops short names the line past it
         let text = "solution v1\nspec exact\nquality optimal\ncost 0 3\ntrace 2\ncompute 0\n";
-        assert_eq!(parse_solution(text).unwrap_err(), ParseError::MissingEnd);
+        assert_eq!(
+            located(parse_solution(text).unwrap_err()),
+            (7, String::new())
+        );
         let text = "solution v1\nspec exact\nquality perfect\ncost 0 3\ntrace 0\nend\n";
-        match parse_solution(text).unwrap_err() {
-            ParseError::UnexpectedToken { line: 3, token, .. } => assert_eq!(token, "perfect"),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(
+            located(parse_solution(text).unwrap_err()),
+            (3, "perfect".into())
+        );
+        // a missing field is reported at the 'end' it must precede
         let text = "solution v1\nspec exact\nquality optimal\ntrace 0\nend\n";
         assert_eq!(
-            parse_solution(text).unwrap_err(),
-            ParseError::MissingField { field: "cost" }
+            located(parse_solution(text).unwrap_err()),
+            (5, "end".into())
         );
     }
 
     #[test]
     fn embedded_documents_report_document_lines() {
         let err = parse_solution_at("solution v1\nspec exact\nquality good\n", 10).unwrap_err();
-        match err {
-            ParseError::UnexpectedToken { line, .. } => assert_eq!(line, 12),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(located(err).0, 12);
     }
 
     #[test]
@@ -472,10 +351,17 @@ mod tests {
         // a declared length in the billions must fail as a normal parse
         // error (moves owed at `end`), not abort on a huge reservation
         let text = "solution v1\nspec exact\nquality optimal\ncost 0 0\ntrace 99999999999\nend\n";
-        match parse_solution(text).unwrap_err() {
-            ParseError::UnexpectedToken { line: 6, token, .. } => assert_eq!(token, "end"),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(
+            located(parse_solution(text).unwrap_err()),
+            (6, "end".into())
+        );
+        // a node id past u32 is an error, not a panic in `NodeId::new`
+        let text =
+            "solution v1\nspec exact\nquality optimal\ncost 0 0\ntrace 1\nload 4294967296\nend\n";
+        assert_eq!(
+            located(parse_solution(text).unwrap_err()),
+            (6, "4294967296".into())
+        );
     }
 
     #[test]
@@ -504,10 +390,7 @@ mod tests {
             let text = format!(
                 "solution v1\nspec exact\nquality optimal\ncost 0 1\ntrace 1\n{bad}\nend\n"
             );
-            match parse_solution(&text).unwrap_err() {
-                ParseError::UnexpectedToken { line: 6, .. } => {}
-                other => panic!("{bad}: {other:?}"),
-            }
+            assert_eq!(located(parse_solution(&text).unwrap_err()).0, 6, "{bad}");
         }
     }
 
